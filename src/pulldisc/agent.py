@@ -8,6 +8,12 @@ typed discard reason and no partial report ever escapes:
 
 Announcements from push/blend devices go through the same pipeline minus
 the nonce check and are marked with their source.
+
+Each agent remembers what it decoded and verified, keyed on exact bytes:
+ECDSA signatures here are deterministic (RFC 6979), so byte-identical
+payloads are the same response, and a retransmitted copy costs only the
+nonce check and a fresh report. The memos belong to one agent because
+users verify independently.
 """
 
 from __future__ import annotations
@@ -64,6 +70,17 @@ class DeviceReport:
         }
 
 
+@dataclass
+class _Seen:
+    """One distinct payload as this agent first decoded it."""
+
+    first_seen: float
+    message: wire.WireMessage | None  # None when the payload does not decode
+    pooled: frozenset[bytes] | None  # request nonces, for responses only
+    signer: bytes | None = None  # device key the signature was checked against
+    signature_ok: bool = False
+
+
 class UserAgent:
     """One logical user; verification is pure, agents are independent."""
 
@@ -78,6 +95,13 @@ class UserAgent:
         self.store = store
         self.rng = rng
         self.scan_window = scan_window
+        # Insertion order is first-seen order; entries older than a scan
+        # window are dropped, and a payload seen again later is re-verified.
+        self._payloads: dict[bytes, _Seen] = {}
+        # Keyed on the exact stored (manifest bytes, signature). The store
+        # never replaces an entry, so this holds at most one verdict per
+        # token; an unknown token is looked up again on every call.
+        self._manifests: dict[tuple[bytes, bytes], registration.Manifest | DiscardReason] = {}
 
     def make_request(self, now: float) -> tuple[bytes, PendingRequest]:
         nonce = self.rng.randbytes(wire.NONCE_LEN)
@@ -87,13 +111,10 @@ class UserAgent:
     def on_response(
         self, pending: PendingRequest, payload: bytes, now: float
     ) -> DeviceReport | DiscardReason:
-        try:
-            message = wire.decode(payload)
-        except wire.WireError:
-            return DiscardReason.MALFORMED
-
+        seen = self._seen(payload, now)
+        message = seen.message
         if isinstance(message, wire.ResponseMsg):
-            if pending.nonce not in message.pooled_nonces:
+            if pending.nonce not in seen.pooled:
                 return DiscardReason.STALE_OR_REPLAY
             source = ReportSource.RESPONSE
         elif isinstance(message, wire.AnnouncementMsg):
@@ -108,16 +129,16 @@ class UserAgent:
         except registration.ManifestNotFound:
             return DiscardReason.MANIFEST_UNAVAILABLE
 
-        try:
-            manifest = registration.verify_manifest(
-                manifest_bytes, manifest_sig, self.trust_keys
-            )
-        except registration.ManifestVerificationError:
-            return DiscardReason.MANIFEST_INVALID
+        manifest = self._verified_manifest(manifest_bytes, manifest_sig)
+        if manifest is DiscardReason.MANIFEST_INVALID:
+            return manifest
 
-        if not crypto.verify(
-            manifest.device_public_key, wire.signed_region(message), message.signature
-        ):
+        if seen.signer != manifest.device_public_key:
+            seen.signer = manifest.device_public_key
+            seen.signature_ok = crypto.verify(
+                seen.signer, wire.signed_region(message), message.signature
+            )
+        if not seen.signature_ok:
             return DiscardReason.SIGNATURE_INVALID
 
         return DeviceReport(
@@ -129,6 +150,45 @@ class UserAgent:
             source=source,
             device_nonce=message.device_nonce,
         )
+
+    def pooled_nonces(self, payload: bytes, now: float) -> frozenset[bytes] | None:
+        """Request nonces a response pools, or None if the payload does
+        not decode as a response."""
+        return self._seen(payload, now).pooled
+
+    def _seen(self, payload: bytes, now: float) -> _Seen:
+        seen = self._payloads.get(payload)
+        if seen is not None:
+            return seen
+        while self._payloads:
+            oldest = next(iter(self._payloads))
+            if self._payloads[oldest].first_seen >= now - self.scan_window:
+                break
+            del self._payloads[oldest]
+        try:
+            message = wire.decode(payload)
+        except wire.WireError:
+            message = None
+        pooled = (
+            frozenset(message.pooled_nonces) if isinstance(message, wire.ResponseMsg) else None
+        )
+        seen = self._payloads[payload] = _Seen(now, message, pooled)
+        return seen
+
+    def _verified_manifest(
+        self, manifest_bytes: bytes, signature: bytes
+    ) -> registration.Manifest | DiscardReason:
+        key = (manifest_bytes, signature)
+        verdict = self._manifests.get(key)
+        if verdict is None:
+            try:
+                verdict = registration.verify_manifest(
+                    manifest_bytes, signature, self.trust_keys
+                )
+            except registration.ManifestVerificationError:
+                verdict = DiscardReason.MANIFEST_INVALID
+            self._manifests[key] = verdict
+        return verdict
 
 
 def dedup(reports: list[DeviceReport]) -> list[DeviceReport]:

@@ -313,6 +313,8 @@ class AgentNode(Node):
         self.reports: list[agent_mod.DeviceReport] = []
         self.discards: dict[str, int] = {}
         self.latencies: list[float] = []
+        # device nonces already timed, per pending request nonce
+        self._reported: dict[bytes, set[bytes]] = {}
         self._seen_announcements: set[bytes] = set()
         self._times = None
 
@@ -328,52 +330,63 @@ class AgentNode(Node):
             self.world.schedule_action(max(t, now), self._send_request)
 
     def _send_request(self, now: float) -> None:
+        self._expire(now)
         payload, pending = self.agent.make_request(now)
         self.pending[pending.nonce] = pending
         self.sent_nonces.append(pending.nonce)
         self.world.broadcast(self.name, payload, now)
         self._schedule_next(now)
 
+    def _expire(self, now: float) -> None:
+        """Forget requests whose scan window has closed. Every request
+        shares the agent's scan window, so they expire in sending order."""
+        while self.pending:
+            nonce, oldest = next(iter(self.pending.items()))
+            if now <= oldest.sent_at + oldest.scan_window:
+                return
+            del self.pending[nonce]
+            self._reported.pop(nonce, None)
+
+    def _record_latency(
+        self, pending: agent_mod.PendingRequest, report: agent_mod.DeviceReport, now: float
+    ) -> None:
+        """One latency per (request, device nonce): the first verified copy."""
+        reported = self._reported.setdefault(pending.nonce, set())
+        if report.device_nonce not in reported:
+            reported.add(report.device_nonce)
+            self.latencies.append(now - pending.sent_at + self.world.link.manifest_fetch_delay)
+
     def handle_deliver(self, frame: Frame, now: float) -> None:
         payload = frame.payload
         if payload.startswith(wire.ID_RESPONSE):
-            try:
-                pooled = set(wire.decode(payload).pooled_nonces)
-            except wire.WireError:
-                if self._scanning(now):
-                    self._discard(agent_mod.DiscardReason.MALFORMED)
+            self._expire(now)
+            if not self.pending:
                 return
-            for nonce, pending in self.pending.items():
-                if now > pending.sent_at + pending.scan_window or nonce not in pooled:
-                    continue
+            pooled = self.agent.pooled_nonces(payload, now)
+            if pooled is None:
+                self._discard(agent_mod.DiscardReason.MALFORMED)
+                return
+            owners = [p for nonce, p in self.pending.items() if nonce in pooled]
+            if not owners:
+                self._discard(agent_mod.DiscardReason.STALE_OR_REPLAY)
+            for pending in owners:
                 result = self.agent.on_response(pending, payload, now)
                 if isinstance(result, agent_mod.DeviceReport):
                     self.reports.append(result)
-                    self.latencies.append(
-                        now - pending.sent_at + self.world.link.manifest_fetch_delay
-                    )
+                    self._record_latency(pending, result, now)
                 else:
                     self._discard(result)
-                return
-            # no pending request owns any pooled nonce
-            if self._scanning(now):
-                self._discard(agent_mod.DiscardReason.STALE_OR_REPLAY)
         elif payload.startswith(wire.ID_ANNOUNCE):
-            if not self._scanning(now):
-                return
-            if payload in self._seen_announcements:
+            self._expire(now)
+            if not self.pending or payload in self._seen_announcements:
                 return
             self._seen_announcements.add(payload)
-            anchor = next(iter(self.pending.values()), None)
-            pending = anchor or agent_mod.PendingRequest(bytes(12), now, self.agent.scan_window)
-            result = self.agent.on_response(pending, payload, now)
+            anchor = next(iter(self.pending.values()))
+            result = self.agent.on_response(anchor, payload, now)
             if isinstance(result, agent_mod.DeviceReport):
                 self.reports.append(result)
             else:
                 self._discard(result)
-
-    def _scanning(self, now: float) -> bool:
-        return any(now <= p.sent_at + p.scan_window for p in self.pending.values())
 
     def _discard(self, reason: agent_mod.DiscardReason) -> None:
         self.discards[reason.value] = self.discards.get(reason.value, 0) + 1

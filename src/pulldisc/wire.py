@@ -19,6 +19,7 @@ binding them blocks cross-protocol replay and truncation games).
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -220,10 +221,13 @@ class ImResponseMsg:
 WireMessage = RequestMsg | ResponseMsg | AnnouncementMsg | ImRequestMsg | ImResponseMsg
 
 
+_PRINTABLE_ASCII = re.compile(rb"[\x20-\x7e]*")
+
+
 def _check_url(url: bytes) -> None:
     if len(url) != URL_TOKEN_LEN:
         raise InvariantError(f"url token must be {URL_TOKEN_LEN} bytes")
-    if not all(0x20 <= b < 0x7F for b in url):
+    if _PRINTABLE_ASCII.fullmatch(url) is None:
         raise InvariantError("url token must be printable ASCII")
 
 

@@ -117,6 +117,87 @@ def test_announcement_skips_nonce_check(world):
     assert report.source is ReportSource.ANNOUNCEMENT
 
 
+def test_memoised_agent_matches_fresh_agents(mfr, descriptor, record, store, monkeypatch):
+    """A long-lived agent reuses decodes and verdicts; each of its results
+    must equal that of a fresh agent, which decodes and verifies from
+    scratch, on a stream that mixes every outcome."""
+    side_store = registration.ManifestStore()
+
+    def side_device(seed):
+        side = registration.provision_db_device(
+            mfr, descriptor, t_att=300.0, t_gen=1.0, pool_max=129, store=side_store,
+            rng=Random(seed),
+        )
+        device = Device(side, b"\x7fELF camera firmware v2.3" * 40, Random(seed + 1))
+        device.boot(0.0)
+        return side, device
+
+    late, late_device = side_device(31)  # token reaches the store mid-stream
+    tampered, tampered_device = side_device(33)
+    _, unknown_device = side_device(35)  # token never stored
+    # the genuine device's manifest and signature, one byte changed
+    manifest_bytes, signature = store.get(record.url)
+    store.put(tampered.url, manifest_bytes[:40] + b"X" + manifest_bytes[41:], signature)
+    genuine = Device(record, b"\x7fELF camera firmware v2.3" * 40, Random(22))
+    genuine.boot(0.0)
+    devices = [genuine, late_device, tampered_device, unknown_device]
+
+    verify_calls = {"memo": 0, "fresh": 0}
+    counting = ["fresh"]
+    real_verify = crypto.verify
+
+    def counted_verify(*args):
+        verify_calls[counting[0]] += 1
+        return real_verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counted_verify)
+    memo = UserAgent((mfr.public_key,), store, Random(21))
+    rng = Random(37)
+    outcomes = set()
+
+    def check(pending, payload, now):
+        counting[0] = "memo"
+        got = memo.on_response(pending, payload, now)
+        counting[0] = "fresh"
+        fresh = UserAgent((mfr.public_key,), store, Random(0))
+        assert got == fresh.on_response(pending, payload, now)
+        outcomes.add(type(got) if isinstance(got, DeviceReport) else got)
+
+    earlier = []
+    t = 5.0
+    for round_index in range(30):
+        if round_index == 10:
+            store.put(late.url, *side_store.get(late.url))
+            for payload in responses:  # the previous round's, now a known token
+                check(pending, payload, t)
+        request, pending = memo.make_request(t)
+        responses = [run_device_round(d, request, t) for d in devices]
+        announcement = genuine._generate_announcement(t).encode()
+        forged = wire.ResponseMsg(
+            rng.randbytes(12), (pending.nonce,), record.url,
+            wire.AttReport(wire.ATT_SUCCESS, 7), rng.randbytes(64),
+        ).encode()
+        now = t + 1.3
+        for copy in range(3):  # retransmitted copies
+            for payload in responses + [announcement, forged]:
+                check(pending, payload, now + 0.03 * copy)
+        for _ in range(4):  # 1-bit mutations of a payload already accepted
+            mutated = bytearray(responses[0])
+            mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
+            check(pending, bytes(mutated), now + 0.1)
+        if earlier:
+            # A replay is stale for this request. For its own request it is
+            # a memo hit, or re-verified once more than a scan window old.
+            old_pending, old_payload = rng.choice(earlier)
+            check(pending, old_payload, now + 0.2)
+            check(old_pending, old_payload, now + 0.2)
+        earlier.append((pending, responses[0]))
+        t += 2.0
+
+    assert outcomes == {DeviceReport, *DiscardReason}
+    assert verify_calls["memo"] * 4 < verify_calls["fresh"]
+
+
 def make_report(manifest, nonce, at):
     return DeviceReport(
         manifest=manifest,

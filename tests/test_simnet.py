@@ -1,6 +1,8 @@
 """Simulator behavior: delivery, loss, ordering, determinism, adversaries."""
 
+import json
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -152,7 +154,47 @@ def test_agent_receives_and_dedups():
     assert len(node.reports) == 6 * 10  # 6 rounds, 10 retransmissions each
     assert len(node.deduped_reports()) == 6
     assert node.discards == {}
+    assert len(node.latencies) == 6  # one per report, not per copy
     assert all(lat >= 1.0 for lat in node.latencies)  # response delay floor
+
+
+def test_response_pooling_two_requests_credits_both():
+    config = _hotel_config(
+        users=[
+            {"name": "user0", "arrival": {"kind": "periodic", "interval": 0.2, "start": 3.0, "count": 2}}
+        ],
+    )
+    built, report = scenario.run_scenario(config)
+    node = built.agent_nodes[0]
+    assert built.device_nodes[0].device.counters.responses == 1  # one response pools both
+    assert len(node.reports) == 2 * 10
+    assert len(node.latencies) == 2
+    assert max(node.latencies) - min(node.latencies) == pytest.approx(0.2)
+
+
+def test_receive_state_stays_bounded_over_an_hour():
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "hotel.json").read_text())
+    doc["horizon"] = 3600.0
+    built = scenario.build_world(scenario.ScenarioConfig.from_dict(doc))
+    world = built.world
+    peaks = {"pending": 0, "payloads": 0, "manifests": 0}
+
+    def sample(now):
+        for node in built.agent_nodes:
+            peaks["pending"] = max(peaks["pending"], len(node.pending))
+            peaks["payloads"] = max(peaks["payloads"], len(node.agent._payloads))
+            peaks["manifests"] = max(peaks["manifests"], len(node.agent._manifests))
+            assert node._reported.keys() <= node.pending.keys()
+        world.schedule_action(now + 0.5, sample)
+
+    world.schedule_action(0.0, sample)
+    world.run_until(3600.0)
+    sent = sum(len(node.sent_nonces) for node in built.agent_nodes)
+    reports = sum(len(node.deduped_reports()) for node in built.agent_nodes)
+    assert sent > 150 and reports > 150
+    assert peaks["pending"] <= 4
+    assert peaks["payloads"] <= 12
+    assert peaks["manifests"] == len(built.device_nodes)
 
 
 def test_flood_adversary_bounded_response_rate():

@@ -1,5 +1,6 @@
 """Codec exactness: frozen lengths, round-trips, and tamper bridging."""
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -132,6 +133,23 @@ def test_decode_announcement_with_nonzero_count():
     encoded[:6] = b"DP-ANN"
     with pytest.raises(wire.MalformedError):
         wire.decode(bytes(encoded))
+
+
+def test_url_token_accepts_exactly_printable_ascii():
+    msg = _response(Random(12), 1)
+    encoded = msg.encode()
+    url_at = encoded.index(URL)
+    for position in range(wire.URL_TOKEN_LEN):
+        for value in range(256):
+            url = URL[:position] + bytes([value]) + URL[position + 1 :]
+            payload = encoded[:url_at] + url + encoded[url_at + wire.URL_TOKEN_LEN :]
+            if 0x20 <= value <= 0x7E:
+                assert wire.decode(payload) == dataclasses.replace(msg, url=url)
+            else:
+                with pytest.raises(wire.MalformedError):
+                    wire.decode(payload)
+                with pytest.raises(wire.InvariantError):
+                    dataclasses.replace(msg, url=url)
 
 
 def test_decode_im_response_bad_body():
