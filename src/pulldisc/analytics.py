@@ -46,7 +46,6 @@ class ScenarioModel:
     crowded_t_req: float = 10.0  # seconds between requests while crowded
     offpeak_per_hour: float = 10.0
     t_gen: float = 1.0
-    t_ann: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.crowded_hours <= 24:

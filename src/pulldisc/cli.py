@@ -88,7 +88,8 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _run_one_seed(config_doc: dict, seed: int, out_dir: str) -> str:
+def _run_one_seed(config_doc: dict, seed: int, out_dir: str) -> tuple[str, list[str]]:
+    """Write one seed's three output files; returns (report path, failed checks)."""
     doc = dict(config_doc)
     doc["seed"] = seed
     config = scenario.ScenarioConfig.from_dict(doc)
@@ -98,7 +99,7 @@ def _run_one_seed(config_doc: dict, seed: int, out_dir: str) -> str:
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "metrics.json").write_text(report.metrics.to_json() + "\n")
     (out / "metrics.csv").write_text(scenario.metrics_csv(report.metrics))
-    return str(out / "report.json")
+    return str(out / "report.json"), [k for k, ok in report.checks.items() if not ok]
 
 
 def _cmd_scenario_run(args) -> int:
@@ -108,38 +109,24 @@ def _cmd_scenario_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    base = Path(args.out or config.output or ".")
+    doc = config.to_dict()
     if args.sweep:
         # Runs are isolated, so seeds fan out across processes.
         from concurrent.futures import ProcessPoolExecutor
 
         seeds = [int(s) for s in args.sweep.split(",")]
-        base = Path(args.out or config.output or ".")
-        doc = config.to_dict()
+        out_dirs = [str(base / f"seed-{s}") for s in seeds]
         with ProcessPoolExecutor() as pool:
-            written = list(
-                pool.map(
-                    _run_one_seed,
-                    [doc] * len(seeds),
-                    seeds,
-                    [str(base / f"seed-{s}") for s in seeds],
-                )
-            )
-        for path in written:
-            print(f"wrote {path}")
-        return 0
+            results = list(pool.map(_run_one_seed, [doc] * len(seeds), seeds, out_dirs))
+    else:
+        results = [_run_one_seed(doc, config.seed, str(base))]
 
-    built, report = scenario.run_scenario(config)
-    out = Path(args.out or config.output or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "metrics.json").write_text(report.metrics.to_json() + "\n")
-    (out / "metrics.csv").write_text(scenario.metrics_csv(report.metrics))
-    print(f"wrote {out / 'report.json'}, {out / 'metrics.json'}, {out / 'metrics.csv'}")
-    ok = all(report.checks.values())
-    if not ok:
-        failing = [k for k, v in report.checks.items() if not v]
-        print(f"sanity checks failed: {failing}", file=sys.stderr)
-    return 0 if ok else 1
+    for path, failing in results:
+        print(f"wrote {path}")
+        if failing:
+            print(f"sanity checks failed in {path}: {failing}", file=sys.stderr)
+    return 1 if any(failing for _, failing in results) else 0
 
 
 def _cmd_analytic(args) -> int:
@@ -183,23 +170,11 @@ def _cmd_lkh_demo(args) -> int:
     vector = keytree.device_key_vector(tree, target)
     header = keytree.build_header(vector, nonce)
     print(f"trace: device {target}, nonce {nonce.hex()}, header of {len(header)} fields")
-    node = 0
     evals = 0
-    for level in range(tree.height):
-        first_child = tree.arity * node + 1
-        chosen = first_child + tree.arity - 1
-        checked = 0
-        for q in range(tree.arity - 1):
-            checked += 1
-            if crypto.prf_eval(tree.node_keys[first_child + q], nonce) == header[level]:
-                chosen = first_child + q
-                break
+    for level, (checked, node) in enumerate(keytree.walk(tree, header, nonce), 1):
         evals += checked
-        print(f"  level {level + 1}: checked {checked} child key(s) -> node {chosen}")
-        node = chosen
+        print(f"  level {level}: checked {checked} child key(s) -> node {node}")
     index = node - tree.first_leaf
-    confirmed, confirmed_evals = keytree.retrieve_lkh(tree, header, nonce)
-    assert (confirmed, confirmed_evals) == (index, evals)
     print(f"retrieved device {index} with {evals} PRF evaluations "
           f"(bound {(tree.arity - 1) * tree.height})")
     return 0 if index == target else 1

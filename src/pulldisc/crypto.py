@@ -81,14 +81,6 @@ def _public_obj(public_key: bytes) -> ec.EllipticCurvePublicKey:
     return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, public_key)
 
 
-def public_key_of(private_key: bytes) -> bytes:
-    return (
-        _private_obj(private_key)
-        .public_key()
-        .public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-    )
-
-
 def sign(private_key: bytes, message: bytes) -> bytes:
     """ECDSA P-256 / SHA-256 signature as raw 64-byte r||s.
 

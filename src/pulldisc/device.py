@@ -41,13 +41,6 @@ class Mode(enum.Enum):
     BLEND = "blend"
 
 
-class State(enum.Enum):
-    WAIT = "wait"
-    ATT = "att"
-    RCV = "rcv"
-    GEN = "gen"
-
-
 class TimerKind(enum.Enum):
     # Declaration order is the processing priority at equal timestamps:
     # finishing a generation precedes starting one, and both precede
@@ -92,9 +85,15 @@ class BlendPolicy:
 
 @dataclass
 class Counters:
+    """One node's cost record; the simulator adds the radio fields."""
+
     busy_seconds: float = 0.0
     signatures: int = 0
     attestations: int = 0
+    tx_bytes: int = 0
+    rx_bytes: int = 0
+    tx_frames: int = 0
+    rx_frames: int = 0
     responses: int = 0
     announcements: int = 0
     dropped_nonces: int = 0
@@ -137,7 +136,6 @@ class Device:
         self.announce_wire_size = announce_wire_size
         self.pool_tmp_cap = pool_tmp_cap
 
-        self.state = State.WAIT
         self.pool: list[bytes] = []
         self.pool_tmp: list[bytes] = []
         self.in_gen = False
@@ -185,14 +183,11 @@ class Device:
             actions.extend(self.blend_step(now))
 
         if self.in_gen:
-            self.state = State.RCV
             self.pool_tmp.append(nonce)
             self.random_delete()
             self.counters.pool_tmp_peak = max(self.counters.pool_tmp_peak, len(self.pool_tmp))
-            self.state = State.GEN
             return actions
 
-        self.state = State.RCV
         self.pool.append(nonce)
         if len(self.pool) >= self.provisioning.pool_max:
             actions.extend(self._enter_gen(now))
@@ -200,9 +195,6 @@ class Device:
             # The lazy-response timer is armed only by the first request.
             self.gen_deadline = now + self.provisioning.t_gen
             actions.append(SetTimer(TimerKind.GEN_DEADLINE, self.gen_deadline))
-            self.state = State.WAIT
-        else:
-            self.state = State.WAIT
         return actions
 
     def on_timer(self, kind: TimerKind, scheduled: float, now: float) -> list[Action]:
@@ -242,14 +234,12 @@ class Device:
         return self.att_result
 
     def _attest(self, now: float, counted: bool = True) -> None:
-        self.state = State.ATT
         matches = crypto.hash_image(bytes(self.memory_image)) == self.provisioning.software_hash
         self.att_result = wire.ATT_SUCCESS if matches else wire.ATT_FAIL
         self.last_att_time = now
         if counted:
             self.counters.attestations += 1
             self.counters.busy_seconds += self.t_att_exec
-        self.state = State.GEN if self.in_gen else State.WAIT
 
     # -- response / announcement generation ---------------------------------
 
@@ -285,7 +275,6 @@ class Device:
 
     def _enter_gen(self, now: float) -> list[Action]:
         self.in_gen = True
-        self.state = State.GEN
         self.gen_deadline = None
         response = self.generate_response(now)
         self.pool = []
@@ -309,7 +298,6 @@ class Device:
         ]
         self._pending_tx = None
         self.in_gen = False
-        self.state = State.WAIT
 
         # Drain one pool-sized block of the overflow list into the pool.
         space = self.provisioning.pool_max - len(self.pool)
@@ -346,7 +334,6 @@ class Device:
             return actions  # response generation takes precedence
         announcement = self._generate_announcement(now)
         self.in_gen = True
-        self.state = State.GEN
         self.counters.announcements += 1
         self.counters.busy_seconds += self.t_res
         self._pending_tx = announcement.encode()

@@ -138,10 +138,6 @@ class Owner:
         self.outstanding_nonce: bytes | None = None
         self.counters = OwnerCounters()
 
-    @property
-    def retrieval_mode(self) -> str:
-        return "naive" if self.tree is None else "lkh"
-
     # -- enrollment ---------------------------------------------------------
 
     def enroll_naive(
@@ -238,7 +234,7 @@ class Owner:
         ad = _associated_data(message.lkh_header)
         trials = 0
         prf_evals = 0
-        device_id = None
+        plaintext = None
         if self.tree is not None:
             # Fast path: walk the tree under the outstanding nonce. A stale
             # response carries header fields over an older nonce, so the
@@ -251,14 +247,15 @@ class Owner:
             except keytree.RetrievalError:
                 index = -1
             if 0 <= index < len(self.device_ids):
-                candidate = self.device_ids[index]
+                device_id = self.device_ids[index]
                 try:
-                    crypto.aead_open(self.key_table[candidate], message.iv, message.sealed, ad)
-                    device_id = candidate
+                    plaintext = crypto.aead_open(
+                        self.key_table[device_id], message.iv, message.sealed, ad
+                    )
                 except crypto.AeadAuthenticationError:
-                    device_id = None
+                    pass
 
-        if device_id is None:
+        if plaintext is None:
             try:
                 index, trials = keytree.retrieve_naive(
                     [self.key_table[d] for d in self.device_ids],
@@ -269,13 +266,10 @@ class Owner:
             except keytree.RetrievalError:
                 return ImDiscard.FORGED_OR_FOREIGN
             device_id = self.device_ids[index]
-
-        try:
+            # The scan returns only the index, so open the winner once more.
             plaintext = crypto.aead_open(
                 self.key_table[device_id], message.iv, message.sealed, ad
             )
-        except crypto.AeadAuthenticationError:
-            return ImDiscard.FORGED_OR_FOREIGN
 
         echoed = plaintext[: wire.NONCE_LEN]
         if echoed != self.outstanding_nonce:

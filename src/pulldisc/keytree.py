@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import crypto
 
@@ -101,17 +101,15 @@ def build_header(vector: Sequence[bytes], owner_nonce: bytes) -> tuple[bytes, ..
     return tuple(crypto.prf_eval(key, owner_nonce) for key in vector)
 
 
-def retrieve_lkh(
+def walk(
     tree: KeyTree, header: Sequence[bytes], owner_nonce: bytes
-) -> tuple[int, int]:
-    """Walk the tree to the leaf that produced `header`.
+) -> Iterator[tuple[int, int]]:
+    """Walk the tree toward the leaf that produced `header`, top-down.
 
     At each level the first p-1 children's PRF outputs are compared to the
     header field; a miss on all of them implies the last child, so the
-    binary case needs a single evaluation per level. Returns (leaf index,
-    PRF evaluations used). The caller confirms the leaf key by opening the
-    sealed payload; a forged header surfaces there, or here as an index
-    beyond the real device range.
+    binary case needs a single evaluation per level. Yields (PRF
+    evaluations, node chosen) per level; the last node is the leaf.
     """
     if len(header) != tree.height:
         raise RetrievalError(
@@ -119,16 +117,26 @@ def retrieve_lkh(
         )
     p = tree.arity
     node = 0
-    evals = 0
     for level in range(tree.height):
         first_child = p * node + 1
         node = first_child + p - 1  # fall through to the last child on no match
+        evals = p - 1
         for q in range(p - 1):
-            evals += 1
             if crypto.prf_eval(tree.node_keys[first_child + q], owner_nonce) == header[level]:
                 node = first_child + q
+                evals = q + 1
                 break
-    return node - tree.first_leaf, evals
+        yield evals, node
+
+
+def retrieve_lkh(
+    tree: KeyTree, header: Sequence[bytes], owner_nonce: bytes
+) -> tuple[int, int]:
+    """Returns (leaf index, PRF evaluations used) for `header`. The caller
+    confirms the leaf key by opening the sealed payload; a forged header
+    surfaces there, or here as an index beyond the real device range."""
+    steps = list(walk(tree, header, owner_nonce))
+    return steps[-1][1] - tree.first_leaf, sum(evals for evals, _ in steps)
 
 
 def retrieve_naive(

@@ -33,6 +33,7 @@ _BLEND_KEYS = {"switch_threshold", "window", "push_period", "announce_interval"}
 _USER_KEYS = {"name", "arrival", "scan_window", "domain"}
 _ARRIVAL_KEYS = {"kind", "interval", "start", "count"}
 _ADVERSARY_KEYS = {"name", "behavior", "rate", "stop", "record_until", "replay_at", "domain"}
+_DEFAULT_ARRIVAL = {"kind": "periodic"}
 _TOP_KEYS = {"seed", "horizon", "mode", "link", "devices", "users", "adversaries", "output"}
 
 
@@ -63,8 +64,9 @@ class ScenarioConfig:
         if "horizon" not in doc or doc["horizon"] <= 0:
             raise ConfigError("scenario requires a positive horizon")
         mode = doc.get("mode", "db")
-        if mode not in ("db", "im", "blend"):
-            raise ConfigError(f"unknown scenario mode {mode!r}")
+        if mode != "db":
+            raise ConfigError(f"unsupported scenario mode {mode!r}; only 'db' runs "
+                              "(push and blend are set per device)")
         link = doc.get("link", {})
         _require_keys(link, _LINK_KEYS, "link")
         for dev in doc.get("devices", []):
@@ -72,8 +74,14 @@ class ScenarioConfig:
             if "blend" in dev and dev["blend"] is not None:
                 _require_keys(dev["blend"], _BLEND_KEYS, "blend policy")
         for user in doc.get("users", []):
-            _require_keys(user, _USER_KEYS, f"user {user.get('name', '?')}")
-            _require_keys(user.get("arrival", {}), _ARRIVAL_KEYS, "arrival")
+            where = f"user {user.get('name', '?')}"
+            _require_keys(user, _USER_KEYS, where)
+            arrival = user.get("arrival", _DEFAULT_ARRIVAL)
+            _require_keys(arrival, _ARRIVAL_KEYS, "arrival")
+            try:
+                simnet.ArrivalModel(**arrival)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad arrival for {where}: {exc}") from None
         for adv in doc.get("adversaries", []):
             _require_keys(adv, _ADVERSARY_KEYS, f"adversary {adv.get('name', '?')}")
             if adv.get("behavior") not in ("flood", "replay", "forge_response", "forge_request"):
@@ -176,7 +184,7 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltSc
         user = agent_mod.UserAgent(
             trust_keys, store, world.node_rng(name), scan_window=spec.get("scan_window", 10.0)
         )
-        arrival = simnet.ArrivalModel(**spec.get("arrival", {"kind": "periodic"}))
+        arrival = simnet.ArrivalModel(**spec.get("arrival", _DEFAULT_ARRIVAL))
         agent_nodes.append(
             world.add_node(
                 simnet.AgentNode(name, user, arrival, domain=spec.get("domain", "default"))

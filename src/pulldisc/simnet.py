@@ -24,7 +24,7 @@ from typing import Callable
 from . import agent as agent_mod
 from . import device as device_mod
 from . import wire
-from .inventory import ImDevice, ImDiscard, ImReceipt, Owner
+from .inventory import ImDevice, ImReceipt, Owner
 
 # Event priorities; deliveries strictly precede timers at equal times.
 _PRIO_DELIVER = 0
@@ -55,20 +55,9 @@ class Frame:
 
 
 @dataclass
-class NodeMetrics:
-    busy_seconds: float = 0.0
-    signatures: int = 0
-    attestations: int = 0
-    tx_bytes: int = 0
-    rx_bytes: int = 0
-    tx_frames: int = 0
-    rx_frames: int = 0
-
-
-@dataclass
 class Metrics:
     horizon: float
-    per_node: dict[str, NodeMetrics] = field(default_factory=dict)
+    per_node: dict[str, device_mod.Counters] = field(default_factory=dict)
     frames_dropped: int = 0
     latencies: dict[str, list[float]] = field(default_factory=dict)
 
@@ -100,6 +89,7 @@ class Node:
         self.name = name
         self.domain = domain
         self.world: "World | None" = None
+        self.counters = device_mod.Counters()
 
     def start(self, now: float) -> None:
         """Schedule initial events; called once before the run."""
@@ -134,7 +124,7 @@ class World:
             raise ValueError(f"duplicate node name {node.name!r}")
         node.world = self
         self.nodes[node.name] = node
-        self.metrics.per_node[node.name] = NodeMetrics()
+        self.metrics.per_node[node.name] = node.counters
         return node
 
     def node_rng(self, name: str) -> Random:
@@ -174,7 +164,7 @@ class World:
         src, uuid = self._frame_identity(sender)
         frame = Frame(src_addr=src, uuid=uuid, payload=payload, wire_size=size)
         sender_node = self.nodes[sender]
-        m = self.metrics.per_node[sender]
+        m = sender_node.counters
         m.tx_bytes += size
         m.tx_frames += 1
         if self.capture_frames:
@@ -211,7 +201,7 @@ class World:
             self.now = time
             if kind == "deliver":
                 node = self.nodes[target]
-                m = self.metrics.per_node[target]
+                m = node.counters
                 m.rx_bytes += detail.wire_size
                 m.rx_frames += 1
                 node.handle_deliver(detail, time)
@@ -233,6 +223,7 @@ class DeviceNode(Node):
     def __init__(self, name: str, device: device_mod.Device, domain: str = "default"):
         super().__init__(name, domain)
         self.device = device
+        self.counters = device.counters
 
     def start(self, now: float) -> None:
         self._apply(self.device.boot(now), now)
@@ -254,14 +245,6 @@ class DeviceNode(Node):
                     )
             elif isinstance(action, device_mod.SetTimer):
                 self.world.schedule_timer(self.name, action.kind, action.at)
-        self._sync_metrics()
-
-    def _sync_metrics(self) -> None:
-        m = self.world.metrics.per_node[self.name]
-        c = self.device.counters
-        m.busy_seconds = c.busy_seconds
-        m.signatures = c.signatures
-        m.attestations = c.attestations
 
 
 @dataclass(frozen=True)
@@ -272,6 +255,13 @@ class ArrivalModel:
     interval: float = 10.0  # periodic spacing or 1/rate for poisson
     start: float = 0.0
     count: int | None = None  # burst size, or cap on total requests
+
+    def __post_init__(self):
+        if self.kind not in ("periodic", "poisson", "burst"):
+            raise ValueError(f"unknown arrival kind {self.kind!r}")
+        if self.kind != "burst" and not self.interval > 0:
+            # A zero interval would repeat one instant forever.
+            raise ValueError(f"{self.kind} arrival interval must be positive")
 
     def times(self, rng: Random, horizon: float):
         if self.kind == "periodic":
@@ -288,11 +278,9 @@ class ArrivalModel:
                 yield t
                 emitted += 1
                 t += rng.expovariate(1.0 / self.interval)
-        elif self.kind == "burst":
+        else:
             for _ in range(self.count or 0):
                 yield self.start
-        else:
-            raise ValueError(f"unknown arrival kind {self.kind!r}")
 
 
 class AgentNode(Node):
@@ -413,7 +401,7 @@ class ImDeviceNode(Node):
         start = max(now, self._busy_until)
         done = start + self.t_res
         self._busy_until = done
-        self.world.metrics.per_node[self.name].busy_seconds += self.t_res
+        self.counters.busy_seconds += self.t_res
 
         def _send(t: float, payload=response) -> None:
             self.world.broadcast(self.name, payload, t)
@@ -435,7 +423,7 @@ class OwnerNode(Node):
         self.owner = owner
         self.round_times = round_times
         self.receipts = []
-        self.rejects: dict[str, int] = {}
+        self.rejects = owner.counters.rejects
 
     def start(self, now: float) -> None:
         for t in self.round_times:
@@ -450,8 +438,6 @@ class OwnerNode(Node):
         result = self.owner.receive(frame.payload)
         if isinstance(result, ImReceipt):
             self.receipts.append((now, result))
-        else:
-            self.rejects[result.value] = self.rejects.get(result.value, 0) + 1
 
 
 class AdversaryNode(Node):

@@ -248,10 +248,6 @@ def _encode_response_layout(proto_id, device_nonce, pooled, url, att, signature)
     return out
 
 
-def encode(message: WireMessage) -> bytes:
-    return message.encode()
-
-
 def signed_region(message: ResponseMsg | AnnouncementMsg | ImRequestMsg) -> bytes:
     """Bytes covered by the message signature.
 

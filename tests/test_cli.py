@@ -1,6 +1,8 @@
 """CLI surface: every subcommand drives the real machinery."""
 
+import hashlib
 import json
+import re
 from pathlib import Path
 from random import Random
 
@@ -130,6 +132,17 @@ def test_lkh_demo(capsys):
     assert "PRF evaluations" in out
 
 
+def test_lkh_demo_levels_sum_to_evaluations(capsys):
+    rc = main(["lkh", "demo", "--n", "100", "--p", "3", "--seed", "5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "devices=100 arity=3 padded=243 height=5" in out
+    checked = [int(c) for c in re.findall(r"level \d+: checked (\d+) child", out)]
+    evals = int(re.search(r"with (\d+) PRF evaluations \(bound 10\)", out).group(1))
+    assert len(checked) == 5 and all(1 <= c <= 2 for c in checked)
+    assert sum(checked) == evals <= (3 - 1) * 5
+
+
 def test_im_solicit_naive_and_lkh(capsys):
     rc = main(["im", "solicit", "--devices", "6", "--seed", "4", "--mode", "naive"])
     assert rc == 0
@@ -183,6 +196,72 @@ def test_scenario_output_path_from_config(tmp_path, capsys, monkeypatch):
     rc = main(["scenario", "run", "--config", write_config(tmp_path, doc)])
     assert rc == 0
     assert (tmp_path / "from-config" / "metrics.json").exists()
+
+
+# Seeded output digests, pinned so that no change to how nodes count their
+# costs can move a byte. The mixed run drops nonces on a capped pull device,
+# announces from a push device and flips a blend device under a flood.
+MIXED_SCENARIO = {
+    "seed": 17,
+    "horizon": 60.0,
+    "link": {"p_loss": 0.02},
+    "devices": [
+        {"name": "capped", "t_gen": 1.0, "t_att": 20.0, "pool_tmp_cap": 40},
+        {"name": "pusher", "mode": "push", "t_att": 25.0, "announce_interval": 2.0},
+        {
+            "name": "blender",
+            "mode": "blend",
+            "pool_tmp_cap": 40,
+            "blend": {
+                "switch_threshold": 100, "window": 1.0, "push_period": 5.0,
+                "announce_interval": 1.0,
+            },
+        },
+    ],
+    "users": [
+        {"name": "u0", "arrival": {"kind": "periodic", "interval": 4.0, "start": 1.0}},
+        {"name": "u1", "arrival": {"kind": "poisson", "interval": 6.0}, "scan_window": 5.0},
+    ],
+    "adversaries": [{"name": "flooder", "behavior": "flood", "rate": 200.0, "stop": 20.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, metrics_json, metrics_csv",
+    [
+        (
+            json.loads((SCENARIOS / "hotel.json").read_text()),
+            "3e805a65f343944c3f889ae6ef1950442b246e0ce7df72af55235fee727d252a",
+            "fa633adae2c429b67366d48fa03ed934cf19956591bbcc338ff3d601509f4439",
+        ),
+        (
+            MIXED_SCENARIO,
+            "f6569a7fcca4e0c8a30b6154d9718188c9734ed42a41f21c3b150491770e203a",
+            "f6c0b9d0370c2a9bb724b99b5b7cf3fbd5837bf71d3676360fa3d1f71c042808",
+        ),
+    ],
+    ids=["hotel", "mixed"],
+)
+def test_scenario_outputs_pinned(tmp_path, capsys, doc, metrics_json, metrics_csv):
+    rc = main(
+        ["scenario", "run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+    )
+    assert rc == 0
+    digest = lambda name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+    assert (digest("metrics.json"), digest("metrics.csv")) == (metrics_json, metrics_csv)
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "1,2"]])
+def test_scenario_run_fails_on_failed_check(tmp_path, capsys, sweep):
+    doc = dict(SMALL_SCENARIO, horizon=5.0, devices=[{"name": "dev0", "t_gen": 1.0, "t_res": 10.0}])
+    doc["users"] = [{"name": "user0", "arrival": {"kind": "periodic", "interval": 2.0, "start": 0.5}}]
+    out = tmp_path / "out"
+    rc = main(["scenario", "run", "--config", write_config(tmp_path, doc), "--out", str(out), *sweep])
+    assert rc == 1
+    assert "busy_within_horizon" in capsys.readouterr().err
+    reports = sorted(out.rglob("report.json"))
+    assert len(reports) == max(1, len(sweep))
+    assert all(not json.loads(r.read_text())["checks"]["busy_within_horizon"] for r in reports)
 
 
 def test_scenario_sweep_parallel_seeds(tmp_path, capsys):

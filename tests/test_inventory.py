@@ -76,6 +76,23 @@ def test_honest_round_lkh(lkh_fleet):
         assert result.prf_evals <= owner.tree.height
 
 
+def test_lkh_receive_opens_the_ciphertext_once(lkh_fleet, monkeypatch):
+    owner, devices = lkh_fleet
+    request = owner.make_request()
+    responses = [dev.respond(request) for dev in devices]
+    opens = []
+    aead_open = crypto.aead_open
+
+    def counting_open(*args):
+        opens.append(args)
+        return aead_open(*args)
+
+    monkeypatch.setattr(crypto, "aead_open", counting_open)
+    for response in responses:
+        assert isinstance(owner.receive(response), ImReceipt)
+    assert len(opens) == len(devices)
+
+
 def test_forged_requests_never_answered(naive_fleet):
     owner, devices = naive_fleet
     rng = Random(35)

@@ -258,6 +258,48 @@ def test_unknown_scenario_keys_rejected():
         )
 
 
+@pytest.mark.parametrize("mode", ["im", "blend", "push", None])
+def test_only_db_scenario_mode_accepted(mode):
+    with pytest.raises(scenario.ConfigError, match=repr(mode)):
+        scenario.ScenarioConfig.from_dict({"seed": 1, "horizon": 10.0, "mode": mode})
+    assert scenario.ScenarioConfig.from_dict({"seed": 1, "horizon": 10.0}).mode == "db"
+    assert scenario.ScenarioConfig.from_dict({"seed": 1, "horizon": 10.0, "mode": "db"}).mode == "db"
+
+
+@pytest.mark.parametrize(
+    "arrival",
+    [
+        {"kind": "periodic", "interval": 0.0},
+        {"kind": "periodic", "interval": -1.0},
+        {"kind": "poisson", "interval": 0},
+        {"kind": "periodic", "interval": "5"},
+        {"kind": "sometimes"},
+        {"interval": 5.0},
+    ],
+)
+def test_bad_arrival_rejected_at_load(arrival):
+    # Calls only from_dict: running a zero interval would repeat one instant forever.
+    doc = {"seed": 1, "horizon": 10.0, "users": [{"name": "u", "arrival": arrival}]}
+    with pytest.raises(scenario.ConfigError, match="arrival for user u"):
+        scenario.ScenarioConfig.from_dict(doc)
+
+
+def test_burst_arrival_needs_no_interval():
+    doc = {"seed": 1, "horizon": 10.0,
+           "users": [{"name": "u", "arrival": {"kind": "burst", "interval": 0.0, "count": 3}}]}
+    scenario.ScenarioConfig.from_dict(doc)
+
+
+def test_per_node_record_is_the_nodes_own_counters():
+    built, report = scenario.run_scenario(_hotel_config())
+    for node in built.device_nodes:
+        assert report.metrics.per_node[node.name] is node.device.counters
+    for name, node in built.world.nodes.items():
+        assert report.metrics.per_node[name] is node.counters
+    records = list(report.metrics.per_node.values())
+    assert len({id(m) for m in records}) == len(records)
+
+
 def test_capture_frames_record_payloads():
     built, report = scenario.run_scenario(_hotel_config(horizon=30.0), capture_frames=True)
     kinds = {bytes(f.payload[:6]) for _, _, f in built.world.captured}
