@@ -31,10 +31,9 @@ SECONDS_PER_DAY = 86400.0
 class CostModel:
     t_ann: float = 0.235  # announcement generation seconds
     t_res: float = 0.233  # response generation seconds, signing dominated
-    t_att_exec: float = 0.001  # attestation execution seconds
 
     def __post_init__(self):
-        if min(self.t_ann, self.t_res, self.t_att_exec) < 0:
+        if min(self.t_ann, self.t_res) < 0:
             raise ValueError("cost model entries cannot be negative")
 
 

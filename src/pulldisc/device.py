@@ -85,7 +85,8 @@ class BlendPolicy:
 
 @dataclass
 class Counters:
-    """One node's cost record; the simulator adds the radio fields."""
+    """One node's cost record, for every role: the simulator adds the
+    radio fields, and inventory devices and owners keep the last four."""
 
     busy_seconds: float = 0.0
     signatures: int = 0
@@ -99,11 +100,10 @@ class Counters:
     dropped_nonces: int = 0
     pool_tmp_peak: int = 0
     response_times: list[float] = field(default_factory=list)
-
-
-DEFAULT_T_RES = 0.233  # response generation cost, signing dominated
-DEFAULT_T_ATT_EXEC = 0.001  # hashing the image is near-free by comparison
-DEFAULT_ANNOUNCE_WIRE_SIZE = 128  # on-air announcement size incl. padding
+    wasted_verifications: int = 0  # bad-signature requests burned a verify
+    requests: int = 0
+    receipts: int = 0
+    rejects: dict[str, int] = field(default_factory=dict)
 
 
 class Device:
@@ -117,10 +117,10 @@ class Device:
         *,
         mode: Mode = Mode.PULL,
         blend: BlendPolicy | None = None,
-        t_res: float = DEFAULT_T_RES,
-        t_att_exec: float = DEFAULT_T_ATT_EXEC,
+        t_res: float = 0.233,  # response generation cost, signing dominated
+        t_att_exec: float = 0.001,  # hashing the image is near-free by comparison
         announce_interval: float = 1.0,
-        announce_wire_size: int = DEFAULT_ANNOUNCE_WIRE_SIZE,
+        announce_wire_size: int = 128,  # on-air announcement size incl. padding
         pool_tmp_cap: int | None = None,
     ):
         if mode is Mode.BLEND and blend is None:
@@ -145,11 +145,9 @@ class Device:
         self.push_until: float | None = None
         self.att_result = wire.ATT_FAIL
         self.last_att_time = 0.0
-        self.next_att_time = 0.0
         self.counters = Counters()
         self._arrivals: deque[float] = deque()
-        self._pending_tx: bytes | None = None
-        self._pending_is_announce = False
+        self._pending_tx: Transmit | None = None
         # Only one announcement timer chain may be live; ticks that do not
         # match this timestamp are stale leftovers of a finished chain.
         self._next_announce_at: float | None = None
@@ -161,8 +159,7 @@ class Device:
         # Registration-time measurement: seeds att_result without counting
         # as a runtime attestation event.
         self._attest(now, counted=False)
-        self.next_att_time = now + self.provisioning.t_att
-        actions: list[Action] = [SetTimer(TimerKind.ATTEST, self.next_att_time)]
+        actions: list[Action] = [SetTimer(TimerKind.ATTEST, now + self.provisioning.t_att)]
         if self.mode is Mode.PUSH:
             self._next_announce_at = now + self.announce_interval
             actions.append(SetTimer(TimerKind.ANNOUNCE, self._next_announce_at))
@@ -210,8 +207,7 @@ class Device:
             return self._enter_gen(now)
 
         if kind is TimerKind.ATTEST:
-            self.next_att_time = scheduled + self.provisioning.t_att
-            actions: list[Action] = [SetTimer(TimerKind.ATTEST, self.next_att_time)]
+            actions: list[Action] = [SetTimer(TimerKind.ATTEST, scheduled + self.provisioning.t_att)]
             if self.in_gen:
                 self.pending_att = True  # suppressed until generation ends
             else:
@@ -245,27 +241,20 @@ class Device:
 
     def generate_response(self, now: float) -> wire.ResponseMsg:
         """Sign one response covering the current pool (pool must be nonempty)."""
-        att = wire.AttReport(self.att_result, int(now - self.last_att_time))
-        unsigned = wire.ResponseMsg(
-            device_nonce=self.rng.randbytes(wire.NONCE_LEN),
-            pooled_nonces=tuple(self.pool),
-            url=self.provisioning.url,
-            att_report=att,
-            signature=bytes(crypto.SIGNATURE_LEN),
-        )
-        signature = crypto.sign(
-            self.provisioning.keypair.private_key, wire.signed_region(unsigned)
-        )
-        self.counters.signatures += 1
-        return dataclasses.replace(unsigned, signature=signature)
+        return self._signed(wire.ResponseMsg, now, pooled_nonces=tuple(self.pool))
 
     def _generate_announcement(self, now: float) -> wire.AnnouncementMsg:
-        att = wire.AttReport(self.att_result, int(now - self.last_att_time))
-        unsigned = wire.AnnouncementMsg(
+        return self._signed(wire.AnnouncementMsg, now)
+
+    def _signed(self, cls, now: float, **fields):
+        """Build a `cls` message with a fresh nonce and this device's
+        attestation report, and sign it with the device key."""
+        unsigned = cls(
             device_nonce=self.rng.randbytes(wire.NONCE_LEN),
             url=self.provisioning.url,
-            att_report=att,
+            att_report=wire.AttReport(self.att_result, int(now - self.last_att_time)),
             signature=bytes(crypto.SIGNATURE_LEN),
+            **fields,
         )
         signature = crypto.sign(
             self.provisioning.keypair.private_key, wire.signed_region(unsigned)
@@ -273,29 +262,24 @@ class Device:
         self.counters.signatures += 1
         return dataclasses.replace(unsigned, signature=signature)
 
-    def _enter_gen(self, now: float) -> list[Action]:
+    def _occupy(self, transmit: Transmit, now: float) -> SetTimer:
+        """Hold the radio for `t_res`; `transmit` goes out when it ends."""
         self.in_gen = True
+        self.counters.busy_seconds += self.t_res
+        self._pending_tx = transmit
+        return SetTimer(TimerKind.GEN_COMPLETE, now + self.t_res)
+
+    def _enter_gen(self, now: float) -> list[Action]:
         self.gen_deadline = None
-        response = self.generate_response(now)
+        payload = self.generate_response(now).encode()
         self.pool = []
         self.counters.responses += 1
         self.counters.response_times.append(now)
-        self.counters.busy_seconds += self.t_res
-        self._pending_tx = response.encode()
-        self._pending_is_announce = False
-        return [SetTimer(TimerKind.GEN_COMPLETE, now + self.t_res)]
+        return [self._occupy(Transmit(payload, len(payload), retransmit=True), now)]
 
     def _complete_gen(self, now: float) -> list[Action]:
         assert self._pending_tx is not None
-        actions: list[Action] = [
-            Transmit(
-                self._pending_tx,
-                wire_size=self.announce_wire_size
-                if self._pending_is_announce
-                else len(self._pending_tx),
-                retransmit=not self._pending_is_announce,
-            )
-        ]
+        actions: list[Action] = [self._pending_tx]
         self._pending_tx = None
         self.in_gen = False
 
@@ -332,13 +316,9 @@ class Device:
         actions: list[Action] = [SetTimer(TimerKind.ANNOUNCE, self._next_announce_at)]
         if self.in_gen:
             return actions  # response generation takes precedence
-        announcement = self._generate_announcement(now)
-        self.in_gen = True
+        payload = self._generate_announcement(now).encode()
         self.counters.announcements += 1
-        self.counters.busy_seconds += self.t_res
-        self._pending_tx = announcement.encode()
-        self._pending_is_announce = True
-        actions.append(SetTimer(TimerKind.GEN_COMPLETE, now + self.t_res))
+        actions.append(self._occupy(Transmit(payload, self.announce_wire_size, retransmit=False), now))
         return actions
 
     # -- blend and flood handling -------------------------------------------

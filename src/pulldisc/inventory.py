@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
 from . import crypto, keytree, wire
+from .device import Counters
 from .registration import ImProvisioningRecord, provision_im_device
 
-DEFAULT_T_RES_IM = 0.233
 DEVICE_ID_LEN = 12
 
 
@@ -56,12 +56,6 @@ class ImReceipt:
     prf_evals: int  # tree PRF evaluations (0 in naive mode)
 
 
-@dataclass
-class ImDeviceCounters:
-    wasted_verifications: int = 0  # bad-signature requests burned a verify
-    responses: int = 0
-
-
 class ImDevice:
     """Inventory-mode device: verify, attest, seal, reply."""
 
@@ -82,15 +76,17 @@ class ImDevice:
         self.memory_image = bytearray(memory_image)
         self.rng = rng
         self.lkh_vector = lkh_vector
-        self.counters = ImDeviceCounters()
+        self.counters = Counters()
 
     def respond(self, payload: bytes) -> bytes | None:
         """Handle one frame; returns an encoded response or None (silent drop)."""
+        # Devices hear each other's sealed responses: drop anything that
+        # cannot be a request before paying for a decode.
+        if len(payload) != wire.IM_REQUEST_LEN or not payload.startswith(wire.ID_IM_REQUEST):
+            return None
         try:
             message = wire.decode(payload)
         except wire.WireError:
-            return None
-        if not isinstance(message, wire.ImRequestMsg):
             return None
         if not crypto.verify(
             self.record.owner_public_key, wire.signed_region(message), message.signature
@@ -119,13 +115,6 @@ def _associated_data(header: Sequence[bytes]) -> bytes:
     return wire.ID_IM_RESPONSE + b"".join(header)
 
 
-@dataclass
-class OwnerCounters:
-    requests: int = 0
-    receipts: int = 0
-    rejects: dict = field(default_factory=dict)
-
-
 class Owner:
     """The single authorized solicitor for an inventory fleet."""
 
@@ -136,7 +125,7 @@ class Owner:
         self.key_table: dict[bytes, bytes] = {}
         self.tree: keytree.KeyTree | None = None
         self.outstanding_nonce: bytes | None = None
-        self.counters = OwnerCounters()
+        self.counters = Counters()
 
     # -- enrollment ---------------------------------------------------------
 

@@ -8,6 +8,7 @@ rejected outright so a typo cannot silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -23,24 +24,53 @@ class ConfigError(ValueError):
     """Scenario file missing, malformed, or schema-violating."""
 
 
+# Optional node keys, grouped by the constructor that takes them. A key is
+# passed on only when the config sets it, so the constructor's own default
+# applies otherwise; keys whose constructor has no default take the
+# scenario default given here.
+_DESCRIPTOR_DEFAULTS = {"device_type": "sensor", "software_version": "1.0"}
+_PROVISION_DEFAULTS = {"t_att": 300.0, "t_gen": 1.0, "pool_max": wire.RESPONSE_MAX_NONCES}
+_DEVICE_ARGS = ("t_res", "t_att_exec", "announce_interval", "announce_wire_size", "pool_tmp_cap")
+_USER_ARGS = ("scan_window",)
+_NODE_ARGS = ("domain",)
+_DEFAULT_ARRIVAL = {"kind": "periodic"}
+
 _LINK_KEYS = {"p_loss", "latency_min", "latency_max", "randomize_addresses", "manifest_fetch_delay"}
 _DEVICE_KEYS = {
-    "name", "mode", "t_att", "t_gen", "pool_max", "t_res", "t_att_exec",
-    "announce_interval", "announce_wire_size", "pool_tmp_cap", "blend",
-    "device_type", "software_version", "domain",
+    "name", "mode", "blend",
+    *_DESCRIPTOR_DEFAULTS, *_PROVISION_DEFAULTS, *_DEVICE_ARGS, *_NODE_ARGS,
 }
 _BLEND_KEYS = {"switch_threshold", "window", "push_period", "announce_interval"}
-_USER_KEYS = {"name", "arrival", "scan_window", "domain"}
+_USER_KEYS = {"name", "arrival", *_USER_ARGS, *_NODE_ARGS}
 _ARRIVAL_KEYS = {"kind", "interval", "start", "count"}
-_ADVERSARY_KEYS = {"name", "behavior", "rate", "stop", "record_until", "replay_at", "domain"}
-_DEFAULT_ARRIVAL = {"kind": "periodic"}
+_ADVERSARY_KEYS = {"name", "behavior", "rate", "stop", "record_until", "replay_at", *_NODE_ARGS}
 _TOP_KEYS = {"seed", "horizon", "mode", "link", "devices", "users", "adversaries", "output"}
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _check(where: str, make, *args, **kwargs) -> None:
+    """Run a constructor's own value checks at load, as a ConfigError."""
+    try:
+        make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
+
+
+def _named_entries(doc: dict, key: str) -> list[dict]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{key} must be a list of objects")
+    for entry in entries:
+        if not isinstance(entry.get("name"), str):
+            raise ConfigError(f"every entry in {key} needs a string name")
+    return list(entries)
 
 
 @dataclass
@@ -59,41 +89,55 @@ class ScenarioConfig:
         if not isinstance(doc, dict):
             raise ConfigError("scenario must be a JSON object")
         _require_keys(doc, _TOP_KEYS, "scenario")
-        if "seed" not in doc:
-            raise ConfigError("scenario requires an explicit seed")
-        if "horizon" not in doc or doc["horizon"] <= 0:
-            raise ConfigError("scenario requires a positive horizon")
+        # Exact types: a bool is an int to isinstance, and would pass.
+        if type(doc.get("seed")) is not int:
+            raise ConfigError("scenario requires an explicit integer seed")
+        horizon = doc.get("horizon")
+        if not (type(horizon) in (int, float) and 0 < horizon < math.inf):
+            raise ConfigError("scenario requires a positive, finite horizon")
         mode = doc.get("mode", "db")
         if mode != "db":
             raise ConfigError(f"unsupported scenario mode {mode!r}; only 'db' runs "
                               "(push and blend are set per device)")
         link = doc.get("link", {})
         _require_keys(link, _LINK_KEYS, "link")
-        for dev in doc.get("devices", []):
-            _require_keys(dev, _DEVICE_KEYS, f"device {dev.get('name', '?')}")
-            if "blend" in dev and dev["blend"] is not None:
+        _check("link", simnet.LinkConfig, **link)
+        devices, users, adversaries = (
+            _named_entries(doc, key) for key in ("devices", "users", "adversaries")
+        )
+        for dev in devices:
+            where = f"device {dev['name']}"
+            _require_keys(dev, _DEVICE_KEYS, where)
+            if "mode" in dev:
+                _check(where, device_mod.Mode, dev["mode"])
+            dev_mode = dev.get("mode")
+            if (dev_mode == "blend") != (dev.get("blend") is not None):
+                raise ConfigError(f"{where}: mode 'blend' needs a blend policy, "
+                                  "and a blend policy needs mode 'blend'")
+            if dev_mode == "blend":
                 _require_keys(dev["blend"], _BLEND_KEYS, "blend policy")
-        for user in doc.get("users", []):
-            where = f"user {user.get('name', '?')}"
+                _check(f"blend policy for {where}", device_mod.BlendPolicy, **dev["blend"])
+            if "announce_interval" in dev and dev_mode != "push":
+                raise ConfigError(f"{where}: announce_interval applies only to mode 'push' "
+                                  "(a blend device reads blend.announce_interval)")
+        for user in users:
+            where = f"user {user['name']}"
             _require_keys(user, _USER_KEYS, where)
             arrival = user.get("arrival", _DEFAULT_ARRIVAL)
             _require_keys(arrival, _ARRIVAL_KEYS, "arrival")
-            try:
-                simnet.ArrivalModel(**arrival)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad arrival for {where}: {exc}") from None
-        for adv in doc.get("adversaries", []):
-            _require_keys(adv, _ADVERSARY_KEYS, f"adversary {adv.get('name', '?')}")
+            _check(f"arrival for {where}", simnet.ArrivalModel, **arrival)
+        for adv in adversaries:
+            _require_keys(adv, _ADVERSARY_KEYS, f"adversary {adv['name']}")
             if adv.get("behavior") not in ("flood", "replay", "forge_response", "forge_request"):
                 raise ConfigError(f"unknown adversary behavior {adv.get('behavior')!r}")
         return cls(
-            seed=int(doc["seed"]),
-            horizon=float(doc["horizon"]),
+            seed=doc["seed"],
+            horizon=float(horizon),
             mode=mode,
             link=link,
-            devices=list(doc.get("devices", [])),
-            users=list(doc.get("users", [])),
-            adversaries=list(doc.get("adversaries", [])),
+            devices=devices,
+            users=users,
+            adversaries=adversaries,
             output=doc.get("output"),
         )
 
@@ -131,6 +175,11 @@ class BuiltScenario:
     agent_nodes: list[simnet.AgentNode]
 
 
+def _given(spec: dict, keys) -> dict:
+    """The subset of `keys` that `spec` sets."""
+    return {key: spec[key] for key in keys if key in spec}
+
+
 def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltScenario:
     """Provision every configured device and assemble the network."""
     link = simnet.LinkConfig(**config.link)
@@ -144,9 +193,8 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltSc
     for spec in config.devices:
         name = spec["name"]
         descriptor = registration.DeviceDescriptor(
-            device_type=spec.get("device_type", "sensor"),
+            **{**_DESCRIPTOR_DEFAULTS, **_given(spec, _DESCRIPTOR_DEFAULTS)},
             sensors_actuators=("temperature",),
-            software_version=spec.get("software_version", "1.0"),
             coarse_location="site",
             software_image=f"image/{name}".encode(),
             full_url=f"https://devices.example/{name}",
@@ -154,57 +202,33 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltSc
         record = registration.provision_db_device(
             mfr,
             descriptor,
-            t_att=spec.get("t_att", 300.0),
-            t_gen=spec.get("t_gen", 1.0),
-            pool_max=spec.get("pool_max", wire.RESPONSE_MAX_NONCES),
+            **{**_PROVISION_DEFAULTS, **_given(spec, _PROVISION_DEFAULTS)},
             store=store,
             rng=provision_rng,
         )
-        blend_cfg = spec.get("blend")
-        blend = device_mod.BlendPolicy(**blend_cfg) if blend_cfg else None
-        dev = device_mod.Device(
-            record,
-            descriptor.software_image,
-            world.node_rng(name),
-            mode=device_mod.Mode(spec.get("mode", "pull")),
-            blend=blend,
-            t_res=spec.get("t_res", device_mod.DEFAULT_T_RES),
-            t_att_exec=spec.get("t_att_exec", device_mod.DEFAULT_T_ATT_EXEC),
-            announce_interval=spec.get("announce_interval", 1.0),
-            announce_wire_size=spec.get("announce_wire_size", device_mod.DEFAULT_ANNOUNCE_WIRE_SIZE),
-            pool_tmp_cap=spec.get("pool_tmp_cap"),
-        )
+        options = _given(spec, _DEVICE_ARGS)
+        if "mode" in spec:
+            options["mode"] = device_mod.Mode(spec["mode"])
+        if spec.get("blend") is not None:
+            options["blend"] = device_mod.BlendPolicy(**spec["blend"])
+        dev = device_mod.Device(record, descriptor.software_image, world.node_rng(name), **options)
         device_nodes.append(
-            world.add_node(simnet.DeviceNode(name, dev, domain=spec.get("domain", "default")))
+            world.add_node(simnet.DeviceNode(name, dev, **_given(spec, _NODE_ARGS)))
         )
 
     agent_nodes = []
     for spec in config.users:
         name = spec["name"]
         user = agent_mod.UserAgent(
-            trust_keys, store, world.node_rng(name), scan_window=spec.get("scan_window", 10.0)
+            trust_keys, store, world.node_rng(name), **_given(spec, _USER_ARGS)
         )
         arrival = simnet.ArrivalModel(**spec.get("arrival", _DEFAULT_ARRIVAL))
         agent_nodes.append(
-            world.add_node(
-                simnet.AgentNode(name, user, arrival, domain=spec.get("domain", "default"))
-            )
+            world.add_node(simnet.AgentNode(name, user, arrival, **_given(spec, _NODE_ARGS)))
         )
 
     for spec in config.adversaries:
-        name = spec["name"]
-        world.add_node(
-            simnet.AdversaryNode(
-                name,
-                behavior=spec["behavior"],
-                rng=world.node_rng(name),
-                rate=spec.get("rate", 100.0),
-                stop=spec.get("stop", float("inf")),
-                record_until=spec.get("record_until", 0.0),
-                replay_at=spec.get("replay_at"),
-                domain=spec.get("domain", "default"),
-            )
-        )
+        world.add_node(simnet.AdversaryNode(rng=world.node_rng(spec["name"]), **spec))
 
     return BuiltScenario(
         world=world,
@@ -268,10 +292,9 @@ def run_scenario(config: ScenarioConfig, capture_frames: bool = False) -> tuple[
 
 
 def metrics_csv(metrics: simnet.Metrics) -> str:
-    lines = ["node,busy_seconds,signatures,attestations,tx_bytes,rx_bytes,tx_frames,rx_frames"]
+    lines = [",".join(("node", *simnet.PER_NODE_FIELDS))]
     for name, m in sorted(metrics.per_node.items()):
-        lines.append(
-            f"{name},{m.busy_seconds:.6f},{m.signatures},{m.attestations},"
-            f"{m.tx_bytes},{m.rx_bytes},{m.tx_frames},{m.rx_frames}"
-        )
+        row = {f: getattr(m, f) for f in simnet.PER_NODE_FIELDS}
+        row["busy_seconds"] = f"{m.busy_seconds:.6f}"
+        lines.append(",".join([name, *map(str, row.values())]))
     return "\n".join(lines) + "\n"

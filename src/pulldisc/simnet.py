@@ -45,6 +45,17 @@ class LinkConfig:
     # can be shown; charged to request-to-report latency, not radio time.
     manifest_fetch_delay: float = 1.3
 
+    def __post_init__(self):
+        if not 0.0 <= self.p_loss <= 1.0:
+            raise ValueError(f"p_loss must be within [0, 1], got {self.p_loss!r}")
+        # A negative latency would schedule a delivery before its broadcast.
+        if not 0.0 <= self.latency_min <= self.latency_max:
+            raise ValueError("latencies must satisfy 0 <= latency_min <= latency_max, "
+                             f"got {self.latency_min!r} and {self.latency_max!r}")
+        if not self.manifest_fetch_delay >= 0.0:
+            raise ValueError(
+                f"manifest_fetch_delay must be >= 0, got {self.manifest_fetch_delay!r}")
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -52,6 +63,12 @@ class Frame:
     uuid: bytes  # 16-byte value
     payload: bytes
     wire_size: int
+
+
+# The per-node columns of metrics.json and metrics.csv, in CSV order.
+PER_NODE_FIELDS = (
+    "busy_seconds", "signatures", "attestations", "tx_bytes", "rx_bytes", "tx_frames", "rx_frames",
+)
 
 
 @dataclass
@@ -67,15 +84,7 @@ class Metrics:
             "frames_dropped": self.frames_dropped,
             "latencies": {k: [round(v, 9) for v in vs] for k, vs in sorted(self.latencies.items())},
             "per_node": {
-                name: {
-                    "busy_seconds": round(m.busy_seconds, 9),
-                    "signatures": m.signatures,
-                    "attestations": m.attestations,
-                    "tx_bytes": m.tx_bytes,
-                    "rx_bytes": m.rx_bytes,
-                    "tx_frames": m.tx_frames,
-                    "rx_frames": m.rx_frames,
-                }
+                name: {f: round(getattr(m, f), 9) for f in PER_NODE_FIELDS}
                 for name, m in sorted(self.per_node.items())
             },
         }
@@ -391,6 +400,7 @@ class ImDeviceNode(Node):
     ):
         super().__init__(name, domain)
         self.device = device
+        self.counters = device.counters
         self.t_res = t_res
         self._busy_until = 0.0
 
@@ -421,6 +431,7 @@ class OwnerNode(Node):
     ):
         super().__init__(name, domain)
         self.owner = owner
+        self.counters = owner.counters
         self.round_times = round_times
         self.receipts = []
         self.rejects = owner.counters.rejects

@@ -221,3 +221,36 @@ def test_key_table_binary_persistence(tmp_path, naive_fleet):
     broken = Owner(owner.keypair, Random(51))
     with pytest.raises(ValueError):
         broken.load_key_table(path)
+
+
+def test_respond_decodes_only_im_requests(naive_fleet, monkeypatch):
+    # Fleet devices hear each other's sealed responses; only a frame that
+    # can be an owner request is worth decoding.
+    owner, devices = naive_fleet
+    request = owner.make_request()
+    rng = Random(38)
+    not_requests = [
+        wire.RequestMsg(rng.randbytes(12)).encode(),
+        wire.ResponseMsg(
+            rng.randbytes(12),
+            (rng.randbytes(12),),
+            b"ZZzzZZzzZZzzZZ",
+            wire.AttReport(wire.ATT_SUCCESS, 1),
+            rng.randbytes(64),
+        ).encode(),
+        devices[1].respond(request),
+        request[: wire.IM_REQUEST_LEN - 1],
+    ]
+    decoded = []
+    decode = wire.decode
+
+    def counting_decode(payload):
+        decoded.append(payload)
+        return decode(payload)
+
+    monkeypatch.setattr(wire, "decode", counting_decode)
+    for payload in not_requests:
+        assert devices[0].respond(payload) is None
+    assert decoded == []
+    assert devices[0].respond(request) is not None
+    assert decoded == [request]

@@ -1,5 +1,6 @@
 """Simulator behavior: delivery, loss, ordering, determinism, adversaries."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,8 +8,10 @@ from random import Random
 
 import pytest
 
-from pulldisc import scenario, simnet, wire
+from pulldisc import agent, crypto, registration, scenario, simnet, wire
+from pulldisc import device as device_mod
 from pulldisc.agent import DiscardReason
+from pulldisc.inventory import Owner, build_device_info
 
 
 class Sink(simnet.Node):
@@ -298,6 +301,141 @@ def test_per_node_record_is_the_nodes_own_counters():
         assert report.metrics.per_node[name] is node.counters
     records = list(report.metrics.per_node.values())
     assert len({id(m) for m in records}) == len(records)
+
+
+def test_inventory_per_node_record_is_the_roles_own_counters():
+    rng = Random(5)
+    owner = Owner(crypto.generate_keypair(rng), Random(6))
+    infos = [build_device_info(f"unit-{i:07d}".encode(), 1, 1) for i in range(4)]
+    fleet = owner.enroll_lkh_fleet(infos, b"inventory image", 2, rng)
+    world = simnet.World(seed=3)
+    owner_node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 2.0]))
+    nodes = [world.add_node(simnet.ImDeviceNode(f"d{i}", d)) for i, d in enumerate(fleet)]
+    metrics = world.run_until(5.0)
+    assert metrics.per_node["owner"] is owner_node.owner.counters
+    assert owner_node.rejects is owner.counters.rejects
+    for node in nodes:
+        assert metrics.per_node[node.name] is node.device.counters
+        assert node.device.counters.responses == 2
+        assert node.device.counters.busy_seconds == pytest.approx(2 * node.t_res)
+    assert owner.counters.requests == 2
+    assert owner.counters.receipts == len(owner_node.receipts) == 8
+
+
+_BLEND = {"switch_threshold": 7, "window": 2.0, "push_period": 3.0, "announce_interval": 0.5}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"seed": "5"}, id="string-seed"),
+        pytest.param({"horizon": "5"}, id="string-horizon"),
+        pytest.param({"horizon": math.inf}, id="infinite-horizon"),
+        pytest.param({"devices": {"d": {"t_gen": 1.0}}}, id="devices-object"),
+        pytest.param({"devices": [{"t_gen": 1.0}]}, id="device-without-name"),
+        pytest.param({"users": [{"arrival": {"kind": "burst", "count": 1}}]}, id="user-without-name"),
+        pytest.param({"adversaries": [{"behavior": "flood"}]}, id="adversary-without-name"),
+        pytest.param({"link": {"p_loss": 2.0}}, id="p_loss-above-1"),
+        pytest.param({"link": {"latency_min": -1.0}}, id="negative-latency"),
+        pytest.param({"link": {"latency_min": 0.02, "latency_max": 0.01}}, id="latency-min-above-max"),
+        pytest.param({"link": {"manifest_fetch_delay": -1.0}}, id="negative-fetch-delay"),
+        pytest.param({"devices": [{"name": "d", "mode": "pulse"}]}, id="unknown-device-mode"),
+        pytest.param({"devices": [{"name": "d", "mode": "blend"}]}, id="blend-without-policy"),
+        pytest.param({"devices": [{"name": "d", "mode": "blend", "blend": {"window": 1.0}}]},
+                     id="incomplete-blend-policy"),
+        pytest.param({"devices": [{"name": "d", "blend": _BLEND}]}, id="policy-on-pull-device"),
+        pytest.param({"devices": [{"name": "d", "mode": "push", "blend": _BLEND}]},
+                     id="policy-on-push-device"),
+        pytest.param({"devices": [{"name": "d", "announce_interval": 2.0}]},
+                     id="announce-interval-on-pull-device"),
+        pytest.param(
+            {"devices": [{"name": "d", "mode": "blend", "blend": _BLEND, "announce_interval": 2.0}]},
+            id="announce-interval-on-blend-device",
+        ),
+        pytest.param({"users": [{"name": "u", "arrival": 5}]}, id="arrival-not-an-object"),
+    ],
+)
+def test_bad_config_rejected_at_load(overrides):
+    # Calls only from_dict: each of these used to crash later, or to run
+    # something other than what the config says.
+    doc = {"seed": 1, "horizon": 10.0}
+    doc.update(overrides)
+    with pytest.raises(scenario.ConfigError):
+        scenario.ScenarioConfig.from_dict(doc)
+
+
+def _signature_defaults(cls) -> dict:
+    return {
+        name: p.default
+        for name, p in inspect.signature(cls).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+
+
+def test_omitted_node_keys_take_the_constructors_defaults():
+    doc = {
+        "seed": 1,
+        "horizon": 10.0,
+        "devices": [{"name": "d"}],
+        "users": [{"name": "u"}],
+        "adversaries": [{"name": "a", "behavior": "flood"}],
+    }
+    nodes = scenario.build_world(scenario.ScenarioConfig.from_dict(doc)).world.nodes
+    for obj, cls in [
+        (nodes["d"].device, device_mod.Device),
+        (nodes["d"], simnet.DeviceNode),
+        (nodes["u"].agent, agent.UserAgent),
+        (nodes["u"], simnet.AgentNode),
+        (nodes["a"], simnet.AdversaryNode),
+    ]:
+        for name, default in _signature_defaults(cls).items():
+            stored = [] if name == "replay_at" else default  # kept as `replay_at or []`
+            assert getattr(obj, name) == stored, (cls.__name__, name)
+
+
+def test_every_optional_node_key_reaches_its_constructor():
+    push = {
+        "name": "p", "mode": "push", "device_type": "camera", "software_version": "2.5",
+        "t_att": 50.0, "t_gen": 0.5, "pool_max": 17, "t_res": 0.3, "t_att_exec": 0.002,
+        "announce_interval": 4.0, "announce_wire_size": 200, "pool_tmp_cap": 33,
+        "domain": "east",
+    }
+    arrival = {"kind": "poisson", "interval": 3.0, "start": 1.0, "count": 4}
+    user = {"name": "u", "arrival": arrival, "scan_window": 6.0, "domain": "east"}
+    adversary = {
+        "name": "a", "behavior": "replay", "rate": 5.0, "stop": 9.0, "record_until": 2.0,
+        "replay_at": [3.0], "domain": "east",
+    }
+    doc = {
+        "seed": 1,
+        "horizon": 10.0,
+        "devices": [push, {"name": "b", "mode": "blend", "blend": _BLEND}],
+        "users": [user],
+        "adversaries": [adversary],
+    }
+    built = scenario.build_world(scenario.ScenarioConfig.from_dict(doc))
+    nodes = built.world.nodes
+
+    def passed(obj, cls, spec):
+        for name, default in _signature_defaults(cls).items():
+            if name in spec and name != "mode":  # mode is parsed into a device.Mode
+                assert spec[name] != default, (cls.__name__, name)
+                assert getattr(obj, name) == spec[name], (cls.__name__, name)
+
+    passed(nodes["p"].device, device_mod.Device, push)
+    passed(nodes["p"], simnet.DeviceNode, push)
+    passed(nodes["u"].agent, agent.UserAgent, user)
+    passed(nodes["u"], simnet.AgentNode, user)
+    passed(nodes["a"], simnet.AdversaryNode, adversary)
+    assert nodes["p"].device.mode is device_mod.Mode.PUSH
+    record = nodes["p"].device.provisioning
+    assert (record.t_att, record.t_gen, record.pool_max) == (50.0, 0.5, 17)
+    manifest = registration.Manifest.from_canonical(built.store.get(record.url)[0])
+    assert (manifest.device_type, manifest.software_version) == ("camera", "2.5")
+    assert nodes["b"].device.mode is device_mod.Mode.BLEND
+    assert nodes["b"].device.blend == device_mod.BlendPolicy(**_BLEND)
+    assert nodes["u"].arrivals == simnet.ArrivalModel(**arrival)
+    assert nodes["a"].behavior == "replay"
 
 
 def test_capture_frames_record_payloads():
