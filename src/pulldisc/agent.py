@@ -19,6 +19,7 @@ users verify independently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -91,6 +92,8 @@ class UserAgent:
         rng: Random,
         scan_window: float = 10.0,
     ):
+        if not 0 < scan_window < math.inf:
+            raise ValueError(f"scan_window must be positive and finite, got {scan_window!r}")
         self.trust_keys = trust_keys
         self.store = store
         self.rng = rng

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -106,6 +107,33 @@ class Counters:
     rejects: dict[str, int] = field(default_factory=dict)
 
 
+# The range of each optional `Device` setting, as (test, rule).
+_OPTION_RANGES = {
+    "t_res": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+    "t_att_exec": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+    "announce_interval": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "announce_wire_size": (
+        lambda v: type(v) is int and wire.RESPONSE_BASE_LEN <= v <= wire.MAX_PAYLOAD,
+        f"must be an integer in [{wire.RESPONSE_BASE_LEN}, {wire.MAX_PAYLOAD}]",
+    ),
+    "pool_tmp_cap": (
+        lambda v: v is None or (type(v) is int and v >= 0), "must be null or an integer >= 0"
+    ),
+}
+
+
+def check_options(**options) -> None:
+    """Raise ValueError for any given `Device` setting outside its range."""
+    for name, value in options.items():
+        within, rule = _OPTION_RANGES[name]
+        try:
+            ok = within(value)
+        except TypeError:  # not a number
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} {rule}, got {value!r}")
+
+
 class Device:
     """One pull/push/blend device instance; single-threaded by contract."""
 
@@ -125,6 +153,13 @@ class Device:
     ):
         if mode is Mode.BLEND and blend is None:
             raise ValueError("blend mode needs a BlendPolicy")
+        check_options(
+            t_res=t_res,
+            t_att_exec=t_att_exec,
+            announce_interval=announce_interval,
+            announce_wire_size=announce_wire_size,
+            pool_tmp_cap=pool_tmp_cap,
+        )
         self.provisioning = provisioning
         self.memory_image = bytearray(memory_image)
         self.rng = rng

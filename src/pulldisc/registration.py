@@ -12,6 +12,7 @@ hex-encoded, and signatures always cover the exact stored bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -142,14 +143,19 @@ class DeviceProvisioningRecord:
     pool_max: int
 
     def __post_init__(self):
-        if not 1 <= self.pool_max <= wire.RESPONSE_MAX_NONCES:
-            raise ProvisioningError(
-                f"pool_max must be in [1, {wire.RESPONSE_MAX_NONCES}], got {self.pool_max}"
-            )
-        if self.t_att <= 0:
-            raise ProvisioningError("attestation interval must be positive")
-        if self.t_gen < 0:
-            raise ProvisioningError("response delay cannot be negative")
+        check_provisioning(self.t_att, self.t_gen, self.pool_max)
+
+
+def check_provisioning(t_att: float, t_gen: float, pool_max: int) -> None:
+    """Raise ProvisioningError for a timer or pool cap outside its range."""
+    if not (type(pool_max) is int and 1 <= pool_max <= wire.RESPONSE_MAX_NONCES):
+        raise ProvisioningError(
+            f"pool_max must be an integer in [1, {wire.RESPONSE_MAX_NONCES}], got {pool_max!r}"
+        )
+    if not 0 < t_att < math.inf:
+        raise ProvisioningError(f"attestation interval must be positive and finite, got {t_att!r}")
+    if not 0 <= t_gen < math.inf:
+        raise ProvisioningError(f"response delay must be >= 0 and finite, got {t_gen!r}")
 
 
 @dataclass(frozen=True)

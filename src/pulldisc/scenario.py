@@ -105,9 +105,16 @@ class ScenarioConfig:
         devices, users, adversaries = (
             _named_entries(doc, key) for key in ("devices", "users", "adversaries")
         )
+        names = [entry["name"] for entry in (*devices, *users, *adversaries)]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"node names must be unique; repeated: {repeated}")
         for dev in devices:
             where = f"device {dev['name']}"
             _require_keys(dev, _DEVICE_KEYS, where)
+            _check(where, registration.check_provisioning,
+                   **{**_PROVISION_DEFAULTS, **_given(dev, _PROVISION_DEFAULTS)})
+            _check(where, device_mod.check_options, **_given(dev, _DEVICE_ARGS))
             if "mode" in dev:
                 _check(where, device_mod.Mode, dev["mode"])
             dev_mode = dev.get("mode")
@@ -123,13 +130,15 @@ class ScenarioConfig:
         for user in users:
             where = f"user {user['name']}"
             _require_keys(user, _USER_KEYS, where)
+            # Trust keys, store and rng are first used in the run.
+            _check(where, agent_mod.UserAgent, (), None, None, **_given(user, _USER_ARGS))
             arrival = user.get("arrival", _DEFAULT_ARRIVAL)
             _require_keys(arrival, _ARRIVAL_KEYS, "arrival")
             _check(f"arrival for {where}", simnet.ArrivalModel, **arrival)
         for adv in adversaries:
-            _require_keys(adv, _ADVERSARY_KEYS, f"adversary {adv['name']}")
-            if adv.get("behavior") not in ("flood", "replay", "forge_response", "forge_request"):
-                raise ConfigError(f"unknown adversary behavior {adv.get('behavior')!r}")
+            where = f"adversary {adv['name']}"
+            _require_keys(adv, _ADVERSARY_KEYS, where)
+            _check(where, simnet.AdversaryNode, rng=None, **adv)  # rng is first used in the run
         return cls(
             seed=doc["seed"],
             horizon=float(horizon),
@@ -276,7 +285,7 @@ def run_scenario(config: ScenarioConfig, capture_frames: bool = False) -> tuple[
         "conservation_rx_le_tx": total_rx
         <= total_tx * max(1, len(metrics.per_node) - 1),
         "counters_nonnegative": all(
-            min(m.tx_bytes, m.rx_bytes, m.signatures, m.attestations) >= 0
+            min(m.busy_seconds, m.tx_bytes, m.rx_bytes, m.signatures, m.attestations) >= 0
             for m in metrics.per_node.values()
         ),
     }

@@ -3,10 +3,11 @@
 Stands in for the extended-advertisement radio: every node shares one
 broadcast domain (multiple domains are configurable), frames arrive after
 a small random latency and are lost independently with a configurable
-probability. Event ordering is total and deterministic: (time, priority,
-sequence), with deliveries processed before timers at equal timestamps
-and generation timers before attestation timers. Two runs with the same
-seed and configuration produce byte-identical metrics.
+probability. A queued event is either a frame delivery or a call.
+Event ordering is total and deterministic: (time, priority, sequence),
+with deliveries processed first at equal timestamps, then device timers
+in `TimerKind` order, then every other call. Two runs with the same seed
+and configuration produce byte-identical metrics.
 
 Per-frame source addresses and UUIDs are randomized when enabled, which
 is what the unlinkability checks observe.
@@ -17,7 +18,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Callable
 
@@ -26,7 +29,7 @@ from . import device as device_mod
 from . import wire
 from .inventory import ImDevice, ImReceipt, Owner
 
-# Event priorities; deliveries strictly precede timers at equal times.
+# Event priorities at equal times: deliveries, device timers, other calls.
 _PRIO_DELIVER = 0
 _PRIO_TIMER_BASE = 1  # + TimerKind value
 _PRIO_ACTION = 10
@@ -101,12 +104,10 @@ class Node:
         self.counters = device_mod.Counters()
 
     def start(self, now: float) -> None:
-        """Schedule initial events; called once before the run."""
+        """Schedule initial events; called once, at the world's first run
+        or when the node joins a run in progress."""
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
-        pass
-
-    def handle_timer(self, kind, scheduled: float, now: float) -> None:
         pass
 
 
@@ -125,6 +126,7 @@ class World:
         self.capture_frames = capture_frames
         self.captured: list[tuple[float, str, Frame]] = []
         self._static_addr: dict[str, bytes] = {}
+        self._started = False
 
     # -- topology ------------------------------------------------------------
 
@@ -134,6 +136,8 @@ class World:
         node.world = self
         self.nodes[node.name] = node
         self.metrics.per_node[node.name] = node.counters
+        if self._started:  # joins a run in progress
+            node.start(self.now)
         return node
 
     def node_rng(self, name: str) -> Random:
@@ -142,17 +146,11 @@ class World:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule_deliver(self, target: str, frame: Frame, at: float) -> None:
-        heapq.heappush(
-            self._queue, (at, _PRIO_DELIVER, next(self._seq), "deliver", target, frame)
-        )
-
-    def schedule_timer(self, node: str, kind, at: float) -> None:
-        prio = _PRIO_TIMER_BASE + (kind.value if hasattr(kind, "value") else 0)
-        heapq.heappush(self._queue, (at, prio, next(self._seq), "timer", node, kind))
-
-    def schedule_action(self, at: float, fn: Callable[[float], None]) -> None:
-        heapq.heappush(self._queue, (at, _PRIO_ACTION, next(self._seq), "action", None, fn))
+    def schedule_action(
+        self, at: float, fn: Callable[[float], None], prio: int = _PRIO_ACTION
+    ) -> None:
+        """Call `fn(now)` at time `at`; `prio` orders calls at equal times."""
+        heapq.heappush(self._queue, (at, prio, next(self._seq), None, fn))
 
     # -- medium ---------------------------------------------------------------
 
@@ -178,46 +176,43 @@ class World:
         m.tx_frames += 1
         if self.capture_frames:
             self.captured.append((now, sender, frame))
-        for name, node in self.nodes.items():
-            if name == sender or node.domain != sender_node.domain:
+        for node in self.nodes.values():
+            if node is sender_node or node.domain != sender_node.domain:
                 continue
             if self.link.p_loss > 0.0 and self.rng.random() < self.link.p_loss:
                 self.metrics.frames_dropped += 1
                 continue
-            latency = self.rng.uniform(self.link.latency_min, self.link.latency_max)
-            self.schedule_deliver(name, frame, now + latency)
+            at = now + self.rng.uniform(self.link.latency_min, self.link.latency_max)
+            heapq.heappush(self._queue, (at, _PRIO_DELIVER, next(self._seq), node, frame))
 
     def retransmit(self, sender: str, payload: bytes, now: float) -> None:
         """Reliability schedule: rebroadcast every 30 ms, ten copies total."""
         self.broadcast(sender, payload, now)
+        again = partial(self.broadcast, sender, payload)
         for k in range(1, RETRANSMIT_COUNT):
-            at = now + k * RETRANSMIT_INTERVAL
-
-            def _again(t: float, _payload=payload, _sender=sender) -> None:
-                self.broadcast(_sender, _payload, t)
-
-            self.schedule_action(at, _again)
+            self.schedule_action(now + k * RETRANSMIT_INTERVAL, again)
 
     # -- run loop -------------------------------------------------------------
 
     def run_until(self, horizon: float) -> Metrics:
-        """Process events in deterministic order up to and including horizon."""
-        for node in self.nodes.values():
-            node.start(self.now)
+        """Process events in deterministic order up to and including horizon.
+
+        Nodes start on the first call; a later call continues the run."""
+        if not self._started:
+            self._started = True
+            for node in self.nodes.values():
+                node.start(self.now)
         while self._queue and self._queue[0][0] <= horizon:
-            time, _prio, _seq, kind, target, detail = heapq.heappop(self._queue)
+            time, _prio, _seq, node, detail = heapq.heappop(self._queue)
             assert time >= self.now, "event queue went backwards"
             self.now = time
-            if kind == "deliver":
-                node = self.nodes[target]
+            if node is None:
+                detail(time)
+            else:
                 m = node.counters
                 m.rx_bytes += detail.wire_size
                 m.rx_frames += 1
                 node.handle_deliver(detail, time)
-            elif kind == "timer":
-                self.nodes[target].handle_timer(detail, time, time)
-            else:
-                detail(time)
         self.now = horizon
         self.metrics.horizon = horizon
         return self.metrics
@@ -240,8 +235,8 @@ class DeviceNode(Node):
     def handle_deliver(self, frame: Frame, now: float) -> None:
         self._apply(self.device.on_frame(frame.payload, now), now)
 
-    def handle_timer(self, kind, scheduled: float, now: float) -> None:
-        self._apply(self.device.on_timer(kind, scheduled, now), now)
+    def _timer(self, kind: device_mod.TimerKind, now: float) -> None:
+        self._apply(self.device.on_timer(kind, now, now), now)
 
     def _apply(self, actions, now: float) -> None:
         for action in actions:
@@ -253,7 +248,8 @@ class DeviceNode(Node):
                         self.name, action.payload, now, wire_size=action.wire_size
                     )
             elif isinstance(action, device_mod.SetTimer):
-                self.world.schedule_timer(self.name, action.kind, action.at)
+                timer = partial(self._timer, action.kind)
+                self.world.schedule_action(action.at, timer, _PRIO_TIMER_BASE + action.kind.value)
 
 
 @dataclass(frozen=True)
@@ -271,25 +267,21 @@ class ArrivalModel:
         if self.kind != "burst" and not self.interval > 0:
             # A zero interval would repeat one instant forever.
             raise ValueError(f"{self.kind} arrival interval must be positive")
+        if not 0 <= self.start < math.inf:
+            raise ValueError(f"arrival start must be >= 0 and finite, got {self.start!r}")
+        if not (self.count is None or (type(self.count) is int and self.count >= 0)):
+            raise ValueError(f"arrival count must be null or an integer >= 0, got {self.count!r}")
 
-    def times(self, rng: Random, horizon: float):
-        if self.kind == "periodic":
-            t = self.start
-            emitted = 0
-            while t <= horizon and (self.count is None or emitted < self.count):
-                yield t
-                emitted += 1
-                t += self.interval
-        elif self.kind == "poisson":
-            t = self.start + rng.expovariate(1.0 / self.interval)
-            emitted = 0
-            while t <= horizon and (self.count is None or emitted < self.count):
-                yield t
-                emitted += 1
-                t += rng.expovariate(1.0 / self.interval)
-        else:
-            for _ in range(self.count or 0):
-                yield self.start
+    def times(self, rng: Random):
+        """Request times in order, without end unless `count` caps them."""
+        if self.kind == "burst":
+            yield from [self.start] * (self.count or 0)
+            return
+        poisson = self.kind == "poisson"
+        t = self.start + rng.expovariate(1.0 / self.interval) if poisson else self.start
+        for _ in itertools.count() if self.count is None else range(self.count):
+            yield t
+            t += rng.expovariate(1.0 / self.interval) if poisson else self.interval
 
 
 class AgentNode(Node):
@@ -318,7 +310,7 @@ class AgentNode(Node):
     def start(self, now: float) -> None:
         # Arrival times are pulled lazily so an open-ended schedule never
         # preloads the queue past the horizon.
-        self._times = self.arrivals.times(self.agent.rng, float("inf"))
+        self._times = self.arrivals.times(self.agent.rng)
         self._schedule_next(now)
 
     def _schedule_next(self, now: float) -> None:
@@ -412,11 +404,7 @@ class ImDeviceNode(Node):
         done = start + self.t_res
         self._busy_until = done
         self.counters.busy_seconds += self.t_res
-
-        def _send(t: float, payload=response) -> None:
-            self.world.broadcast(self.name, payload, t)
-
-        self.world.schedule_action(done, _send)
+        self.world.schedule_action(done, partial(self.world.broadcast, self.name, response))
 
 
 class OwnerNode(Node):
@@ -471,12 +459,18 @@ class AdversaryNode(Node):
         domain: str = "default",
     ):
         super().__init__(name, domain)
+        if behavior not in ("flood", "replay", "forge_response", "forge_request"):
+            raise ValueError(f"unknown adversary behavior {behavior!r}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"adversary rate must be positive and finite, got {rate!r}")
         self.behavior = behavior
         self.rng = rng
         self.rate = rate
         self.stop = stop
         self.record_until = record_until
-        self.replay_at = replay_at or []
+        self.replay_at = list(replay_at or [])
+        if not all(isinstance(t, (int, float)) for t in (stop, record_until, *self.replay_at)):
+            raise TypeError("adversary stop, record_until and replay_at times must be numbers")
         self.recorded: list[bytes] = []
 
     def start(self, now: float) -> None:

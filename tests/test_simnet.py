@@ -1,6 +1,7 @@
 """Simulator behavior: delivery, loss, ordering, determinism, adversaries."""
 
 import inspect
+import itertools
 import json
 import math
 from pathlib import Path
@@ -86,6 +87,70 @@ def test_retransmit_schedule_and_byte_accounting():
     assert world.metrics.per_node["dev"].tx_bytes == 10 * 114
 
 
+class _TimerLog:
+    """Device stand-in that logs what it handles; boots one timer of each
+    kind at t = 1.0, in reverse priority order."""
+
+    def __init__(self, log):
+        self.log = log
+        self.counters = device_mod.Counters()
+
+    def boot(self, now):
+        return [device_mod.SetTimer(kind, 1.0) for kind in reversed(device_mod.TimerKind)]
+
+    def on_frame(self, payload, now):
+        self.log.append(("deliver", now))
+        return []
+
+    def on_timer(self, kind, scheduled, now):
+        self.log.append((kind, now))
+        return []
+
+
+def test_events_at_one_time_run_deliveries_then_timers_then_actions():
+    log = []
+    world = simnet.World(seed=1, link=simnet.LinkConfig(latency_min=0.5, latency_max=0.5))
+    world.add_node(Sink("tx"))
+    world.add_node(simnet.DeviceNode("dev", _TimerLog(log)))
+    # Queued before the delivery and the timers, so only priority can order them.
+    world.schedule_action(1.0, lambda now: log.append(("action", now)))
+    world.broadcast("tx", b"x", 0.5)
+    world.run_until(2.0)
+    kinds = device_mod.TimerKind
+    assert log == [
+        ("deliver", 1.0),
+        (kinds.GEN_COMPLETE, 1.0),
+        (kinds.GEN_DEADLINE, 1.0),
+        (kinds.ATTEST, 1.0),
+        (kinds.ANNOUNCE, 1.0),
+        ("action", 1.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "arrival, times, next_draw",
+    [
+        pytest.param(simnet.ArrivalModel("periodic", interval=2.5, start=1.0, count=4),
+                     [1.0, 3.5, 6.0, 8.5], 0.32383276483316237, id="periodic"),
+        pytest.param(simnet.ArrivalModel("poisson", interval=3.0),
+                     [1.173944532704413, 1.6644999037208474, 4.821986757933628,
+                      5.047568137653465, 7.350417511718705], 0.36568891691258554, id="poisson"),
+        pytest.param(simnet.ArrivalModel("poisson", interval=3.0, start=2.0, count=3),
+                     [3.1739445327044127, 3.664499903720847, 6.821986757933628],
+                     0.5358820043066892, id="poisson-capped"),
+        pytest.param(simnet.ArrivalModel("burst", start=4.0, count=3),
+                     [4.0, 4.0, 4.0], 0.32383276483316237, id="burst"),
+    ],
+)
+def test_arrival_times(arrival, times, next_draw):
+    # `next_draw` is the generator's next value once the first five times
+    # are taken: it pins the Poisson draw order (one draw at `start`, then
+    # one after each time) and that the other kinds draw nothing.
+    rng = Random(7)
+    assert list(itertools.islice(arrival.times(rng), 5)) == times
+    assert rng.random() == next_draw
+
+
 def test_address_randomization_per_frame():
     world = simnet.World(seed=6)
     world.add_node(Sink("dev"))
@@ -127,6 +192,39 @@ def test_determinism_byte_identical_metrics():
     run2 = scenario.run_scenario(_hotel_config())[1]
     assert run1.metrics.to_json() == run2.metrics.to_json()
     assert run1.to_json() == run2.to_json()
+
+
+@pytest.mark.parametrize("horizon, split", [(120.0, 60.0), (600.0, 233.7)])
+def test_split_run_matches_one_run(horizon, split):
+    # A second run_until continues the run; it must not restart the nodes.
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "hotel.json").read_text())
+    doc["horizon"] = horizon
+    config = scenario.ScenarioConfig.from_dict(doc)
+    whole = scenario.run_scenario(config)[1].metrics
+    built = scenario.build_world(config)
+    built.world.run_until(split)
+    metrics = built.world.run_until(horizon)
+    for node in built.agent_nodes:
+        metrics.latencies[node.name] = node.latencies
+    assert metrics.to_json() == whole.to_json()
+
+
+class _StartLog(simnet.Node):
+    def __init__(self, name):
+        super().__init__(name)
+        self.starts = []
+
+    def start(self, now):
+        self.starts.append(now)
+
+
+def test_nodes_start_once_even_when_added_mid_run():
+    world = simnet.World(seed=1)
+    first = world.add_node(_StartLog("first"))
+    world.run_until(5.0)
+    late = world.add_node(_StartLog("late"))
+    world.run_until(10.0)
+    assert first.starts == [0.0] and late.starts == [5.0]
 
 
 def test_seed_changes_change_the_run():
@@ -353,6 +451,33 @@ _BLEND = {"switch_threshold": 7, "window": 2.0, "push_period": 3.0, "announce_in
             id="announce-interval-on-blend-device",
         ),
         pytest.param({"users": [{"name": "u", "arrival": 5}]}, id="arrival-not-an-object"),
+        pytest.param({"devices": [{"name": "d", "t_res": -1.0}]}, id="negative-t_res"),
+        pytest.param({"devices": [{"name": "d", "t_res": "0.2"}]}, id="string-t_res"),
+        pytest.param({"devices": [{"name": "d", "t_att_exec": -1.0}]}, id="negative-t_att_exec"),
+        pytest.param({"devices": [{"name": "d", "pool_max": 0}]}, id="pool_max-0"),
+        pytest.param({"devices": [{"name": "d", "pool_max": 130}]}, id="pool_max-130"),
+        pytest.param({"devices": [{"name": "d", "t_att": 0}]}, id="zero-t_att"),
+        pytest.param({"devices": [{"name": "d", "t_gen": -1.0}]}, id="negative-t_gen"),
+        pytest.param({"devices": [{"name": "d", "pool_tmp_cap": -1}]}, id="negative-pool_tmp_cap"),
+        pytest.param({"devices": [{"name": "d", "mode": "push", "announce_interval": 0.0}]},
+                     id="zero-announce-interval"),
+        pytest.param({"devices": [{"name": "d", "announce_wire_size": 50}]},
+                     id="announce-wire-size-below-payload"),
+        pytest.param({"devices": [{"name": "x"}], "users": [{"name": "x"}]}, id="duplicate-names"),
+        pytest.param({"users": [{"name": "u", "scan_window": -1.0}]}, id="negative-scan-window"),
+        pytest.param({"users": [{"name": "u", "arrival": {"kind": "burst", "count": "3"}}]},
+                     id="string-arrival-count"),
+        pytest.param({"users": [{"name": "u", "arrival": {"kind": "periodic", "start": -1.0}}]},
+                     id="negative-arrival-start"),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "flood", "rate": 0}]},
+                     id="zero-adversary-rate"),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "jam"}]},
+                     id="unknown-adversary-behavior"),
+        pytest.param({"adversaries": [{"name": "a"}]}, id="adversary-without-behavior"),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "flood", "stop": "9"}]},
+                     id="string-adversary-stop"),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "replay", "replay_at": 5}]},
+                     id="replay-at-not-a-list"),
     ],
 )
 def test_bad_config_rejected_at_load(overrides):
