@@ -11,8 +11,7 @@ the nonce check and are marked with their source.
 
 Each agent remembers what it decoded and verified, keyed on exact bytes:
 ECDSA signatures here are deterministic (RFC 6979), so byte-identical
-payloads are the same response, and a retransmitted copy costs only the
-nonce check and a fresh report. The memos belong to one agent because
+payloads are the same response. The memos belong to one agent because
 users verify independently.
 """
 

@@ -197,7 +197,10 @@ class World:
     def run_until(self, horizon: float) -> Metrics:
         """Process events in deterministic order up to and including horizon.
 
-        Nodes start on the first call; a later call continues the run."""
+        Nodes start on the first call; a later call continues the run and
+        may not name a horizon before the current time."""
+        if not horizon >= self.now:
+            raise ValueError(f"horizon must be >= the current time {self.now!r}, got {horizon!r}")
         if not self._started:
             self._started = True
             for node in self.nodes.values():
@@ -302,9 +305,8 @@ class AgentNode(Node):
         self.reports: list[agent_mod.DeviceReport] = []
         self.discards: dict[str, int] = {}
         self.latencies: list[float] = []
-        # device nonces already timed, per pending request nonce
+        # payloads already reported, per pending request nonce
         self._reported: dict[bytes, set[bytes]] = {}
-        self._seen_announcements: set[bytes] = set()
         self._times = None
 
     def start(self, now: float) -> None:
@@ -336,21 +338,18 @@ class AgentNode(Node):
             del self.pending[nonce]
             self._reported.pop(nonce, None)
 
-    def _record_latency(
-        self, pending: agent_mod.PendingRequest, report: agent_mod.DeviceReport, now: float
-    ) -> None:
-        """One latency per (request, device nonce): the first verified copy."""
-        reported = self._reported.setdefault(pending.nonce, set())
-        if report.device_nonce not in reported:
-            reported.add(report.device_nonce)
-            self.latencies.append(now - pending.sent_at + self.world.link.manifest_fetch_delay)
-
     def handle_deliver(self, frame: Frame, now: float) -> None:
+        """Credit a response to each pending request it pools and an
+        announcement to the oldest pending request; a payload already
+        reported for a request is skipped."""
         payload = frame.payload
-        if payload.startswith(wire.ID_RESPONSE):
-            self._expire(now)
-            if not self.pending:
-                return
+        is_response = payload.startswith(wire.ID_RESPONSE)
+        if not (is_response or payload.startswith(wire.ID_ANNOUNCE)):
+            return
+        self._expire(now)
+        if not self.pending:
+            return
+        if is_response:
             pooled = self.agent.pooled_nonces(payload, now)
             if pooled is None:
                 self._discard(agent_mod.DiscardReason.MALFORMED)
@@ -358,24 +357,20 @@ class AgentNode(Node):
             owners = [p for nonce, p in self.pending.items() if nonce in pooled]
             if not owners:
                 self._discard(agent_mod.DiscardReason.STALE_OR_REPLAY)
-            for pending in owners:
-                result = self.agent.on_response(pending, payload, now)
-                if isinstance(result, agent_mod.DeviceReport):
-                    self.reports.append(result)
-                    self._record_latency(pending, result, now)
-                else:
-                    self._discard(result)
-        elif payload.startswith(wire.ID_ANNOUNCE):
-            self._expire(now)
-            if not self.pending or payload in self._seen_announcements:
-                return
-            self._seen_announcements.add(payload)
-            anchor = next(iter(self.pending.values()))
-            result = self.agent.on_response(anchor, payload, now)
-            if isinstance(result, agent_mod.DeviceReport):
-                self.reports.append(result)
-            else:
+        else:
+            owners = [next(iter(self.pending.values()))]
+        for pending in owners:
+            reported = self._reported.setdefault(pending.nonce, set())
+            if payload in reported:
+                continue
+            result = self.agent.on_response(pending, payload, now)
+            if not isinstance(result, agent_mod.DeviceReport):
                 self._discard(result)
+                continue
+            reported.add(payload)
+            self.reports.append(result)
+            if is_response:
+                self.latencies.append(now - pending.sent_at + self.world.link.manifest_fetch_delay)
 
     def _discard(self, reason: agent_mod.DiscardReason) -> None:
         self.discards[reason.value] = self.discards.get(reason.value, 0) + 1
@@ -474,8 +469,9 @@ class AdversaryNode(Node):
         self.recorded: list[bytes] = []
 
     def start(self, now: float) -> None:
-        if self.behavior in ("flood", "forge_response", "forge_request"):
-            self.world.schedule_action(now + 1.0 / self.rate, self._emit)
+        first = now + 1.0 / self.rate
+        if self.behavior in ("flood", "forge_response", "forge_request") and first <= self.stop:
+            self.world.schedule_action(first, self._emit)
         if self.behavior == "replay":
             for t in self.replay_at:
                 self.world.schedule_action(t, self._replay_all)

@@ -1,5 +1,6 @@
 """Simulator behavior: delivery, loss, ordering, determinism, adversaries."""
 
+import functools
 import inspect
 import itertools
 import json
@@ -8,6 +9,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulldisc import agent, crypto, registration, scenario, simnet, wire
 from pulldisc import device as device_mod
@@ -209,6 +212,35 @@ def test_split_run_matches_one_run(horizon, split):
     assert metrics.to_json() == whole.to_json()
 
 
+@functools.cache
+def _hotel_metrics_json() -> str:
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "hotel.json").read_text())
+    return scenario.run_scenario(scenario.ScenarioConfig.from_dict(doc))[1].metrics.to_json()
+
+
+@given(st.floats(0.0, 600.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=5, deadline=None)
+def test_split_anywhere_matches_one_run(split):
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "hotel.json").read_text())
+    built = scenario.build_world(scenario.ScenarioConfig.from_dict(doc))
+    built.world.run_until(split)
+    metrics = built.world.run_until(doc["horizon"])
+    for node in built.agent_nodes:
+        metrics.latencies[node.name] = node.latencies
+    assert metrics.to_json() == _hotel_metrics_json()
+
+
+def test_run_until_rejects_a_horizon_before_now():
+    world = simnet.World(seed=1)
+    world.add_node(Sink("a"))
+    world.run_until(10.0)
+    with pytest.raises(ValueError):
+        world.run_until(5.0)
+    assert world.now == 10.0
+    world.run_until(10.0)  # the current time itself is allowed
+    assert world.now == 10.0
+
+
 class _StartLog(simnet.Node):
     def __init__(self, name):
         super().__init__(name)
@@ -252,7 +284,7 @@ def test_conservation_lossless_single_domain():
 def test_agent_receives_and_dedups():
     built, report = scenario.run_scenario(_hotel_config())
     node = built.agent_nodes[0]
-    assert len(node.reports) == 6 * 10  # 6 rounds, 10 retransmissions each
+    assert len(node.reports) == 6  # 6 rounds; retransmitted copies are not reported again
     assert len(node.deduped_reports()) == 6
     assert node.discards == {}
     assert len(node.latencies) == 6  # one per report, not per copy
@@ -268,7 +300,7 @@ def test_response_pooling_two_requests_credits_both():
     built, report = scenario.run_scenario(config)
     node = built.agent_nodes[0]
     assert built.device_nodes[0].device.counters.responses == 1  # one response pools both
-    assert len(node.reports) == 2 * 10
+    assert len(node.reports) == 2
     assert len(node.latencies) == 2
     assert max(node.latencies) - min(node.latencies) == pytest.approx(0.2)
 
@@ -296,6 +328,93 @@ def test_receive_state_stays_bounded_over_an_hour():
     assert peaks["pending"] <= 4
     assert peaks["payloads"] <= 12
     assert peaks["manifests"] == len(built.device_nodes)
+
+
+# Run outputs grow with the horizon by design; everything else must not.
+_RUN_OUTPUTS = {"reports", "latencies", "sent_nonces", "discards"}
+
+
+def _container_sizes(node: simnet.AgentNode) -> dict[str, int]:
+    sizes = {}
+    for owner, obj in (("node", node), ("agent", node.agent)):
+        for name, value in vars(obj).items():
+            if name not in _RUN_OUTPUTS and isinstance(value, (list, tuple, dict, set)):
+                sizes[f"{owner}.{name}"] = len(value)
+    return sizes
+
+
+def test_receive_state_stays_bounded_over_a_day():
+    # One push device announcing every 30 s to a user whose requests
+    # overlap, so some request is always pending when an announcement lands.
+    hour, day = 3600.0, 86400.0
+    config = _hotel_config(
+        horizon=day,
+        devices=[{"name": "pusher", "mode": "push", "announce_interval": 30.0}],
+        users=[
+            {
+                "name": "user0",
+                "arrival": {"kind": "periodic", "interval": 20.0, "start": 1.5},
+                "scan_window": 60.0,
+            }
+        ],
+    )
+    built = scenario.build_world(config)
+    world, node = built.world, built.agent_nodes[0]
+    peaks: dict[str, dict[str, int]] = {"first hour": {}, "last hour": {}}
+
+    def sample(now):
+        peak = peaks["first hour" if now <= hour else "last hour"]
+        for name, size in _container_sizes(node).items():
+            peak[name] = max(peak.get(name, 0), size)
+        if now + 0.5 <= hour or now + 0.5 >= day - hour:
+            world.schedule_action(now + 0.5, sample)
+        else:
+            world.schedule_action(day - hour, sample)
+
+    world.schedule_action(0.0, sample)
+    world.run_until(day)
+    assert {"node.pending", "node._reported", "agent._payloads", "agent._manifests"} <= set(
+        peaks["first hour"]
+    )
+    assert len(node.reports) > 2000  # announcements kept arriving all day
+    for name, first in peaks["first hour"].items():
+        assert peaks["last hour"][name] <= first, name
+
+
+def test_replayed_announcement_with_its_anchor_pending_is_not_reported_again():
+    config = _hotel_config(
+        horizon=20.0,
+        devices=[{"name": "pusher", "mode": "push", "announce_interval": 2.0}],
+        users=[
+            {
+                "name": "user0",
+                "arrival": {"kind": "periodic", "interval": 100.0, "start": 1.0, "count": 1},
+                "scan_window": 30.0,
+            }
+        ],
+        adversaries=[
+            {"name": "adv", "behavior": "replay", "record_until": 9.0, "replay_at": [10.0, 12.0]}
+        ],
+    )
+    built, _ = scenario.run_scenario(config)
+    node = built.agent_nodes[0]
+    replayed = [p for p in built.world.nodes["adv"].recorded if p.startswith(wire.ID_ANNOUNCE)]
+    assert len(replayed) == 4  # announced at 2, 4, 6 and 8 s, all after the request
+    assert len(node.reports) == 9  # announced at 2, 4, ..., 18 s
+    assert len({r.device_nonce for r in node.reports}) == len(node.reports)
+    assert node.discards == {}
+
+
+@pytest.mark.parametrize("behavior", ["flood", "forge_response", "forge_request"])
+@pytest.mark.parametrize("stop, frames", [(0.0, 0), (0.6, 1)])
+def test_adversary_stop_before_first_emission(behavior, stop, frames):
+    config = _hotel_config(
+        horizon=10.0,
+        users=[],
+        adversaries=[{"name": "adv", "behavior": behavior, "rate": 2.0, "stop": stop}],
+    )
+    built, report = scenario.run_scenario(config)
+    assert report.metrics.per_node["adv"].tx_frames == frames
 
 
 def test_flood_adversary_bounded_response_rate():
