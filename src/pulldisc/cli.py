@@ -11,6 +11,7 @@ Subcommands:
 
 Scenario paths are resolved against PULLDISC_CONFIG_DIR when not found
 directly. Every subcommand is deterministic given its inputs and seed.
+A bad argument or config prints one `error:` line and exits 2.
 """
 
 from __future__ import annotations
@@ -44,19 +45,18 @@ def _cmd_provision(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
+    settings = {k: getattr(args, k) for k in ("t_att", "t_gen", "pool_max") if k in args}
     for i in range(args.count):
         descriptor = registration.DeviceDescriptor(
             device_type=args.device_type,
-            sensors_actuators=tuple(args.sensor),
+            sensors_actuators=tuple(args.sensor or ["temperature"]),
             software_version="1.0",
             coarse_location=args.location,
             software_image=f"image/{i}".encode(),
             full_url=f"https://devices.example/{i}",
         )
         record = registration.provision_db_device(
-            mfr, descriptor,
-            t_att=args.t_att, t_gen=args.t_gen, pool_max=args.pool_max,
-            store=store, rng=rng,
+            mfr, descriptor, store=store, rng=rng, **settings
         )
         records.append(
             {
@@ -103,12 +103,7 @@ def _run_one_seed(config_doc: dict, seed: int, out_dir: str) -> tuple[str, list[
 
 
 def _cmd_scenario_run(args) -> int:
-    try:
-        config = scenario.ScenarioConfig.load(_resolve_config(args.config))
-    except scenario.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    config = scenario.ScenarioConfig.load(_resolve_config(args.config))
     base = Path(args.out or config.output or ".")
     doc = config.to_dict()
     if args.sweep:
@@ -266,11 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--device-type", default="sensor")
-    p.add_argument("--sensor", action="append", default=["temperature"])
+    p.add_argument("--sensor", action="append", help="repeatable; default: temperature")
     p.add_argument("--location", default="site")
-    p.add_argument("--t-att", type=float, default=300.0)
-    p.add_argument("--t-gen", type=float, default=1.0)
-    p.add_argument("--pool-max", type=int, default=wire.RESPONSE_MAX_NONCES)
+    # Left out, these take the provisioning record's defaults.
+    p.add_argument("--t-att", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--t-gen", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--pool-max", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_provision)
 
     p = sub.add_parser("scan", help="run a scenario and print device reports")
@@ -330,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, IndexError) as exc:  # a bad argument or config, ConfigError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -78,10 +78,12 @@ class BlendPolicy:
     announce_interval: float
 
     def __post_init__(self):
-        if self.switch_threshold <= 0 or self.window <= 0:
+        # Written as `not x > 0` so that NaN fails too.
+        if not (self.switch_threshold > 0 and self.window > 0):
             raise ValueError("blend threshold and window must be positive")
-        if self.push_period <= 0 or self.announce_interval <= 0:
-            raise ValueError("blend push period and announce interval must be positive")
+        if not (self.push_period > 0 and 0 < self.announce_interval < math.inf):
+            raise ValueError("blend push period must be positive, "
+                             "and announce interval positive and finite")
 
 
 @dataclass
@@ -151,8 +153,9 @@ class Device:
         announce_wire_size: int = 128,  # on-air announcement size incl. padding
         pool_tmp_cap: int | None = None,
     ):
-        if mode is Mode.BLEND and blend is None:
-            raise ValueError("blend mode needs a BlendPolicy")
+        if (mode is Mode.BLEND) != (blend is not None):
+            raise ValueError("mode 'blend' needs a blend policy, "
+                             "and a blend policy needs mode 'blend'")
         check_options(
             t_res=t_res,
             t_att_exec=t_att_exec,

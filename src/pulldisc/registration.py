@@ -130,6 +130,13 @@ class DeviceDescriptor:
     software_image: bytes
     full_url: str
 
+    def __post_init__(self):
+        # Both go into the signed manifest, device_type into the certificate too.
+        for name in ("device_type", "software_version"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ProvisioningError(f"{name} must be a string, got {value!r}")
+
 
 @dataclass(frozen=True)
 class DeviceProvisioningRecord:
@@ -138,24 +145,22 @@ class DeviceProvisioningRecord:
     keypair: crypto.KeyPair
     url: bytes
     software_hash: bytes
-    t_att: float
-    t_gen: float
-    pool_max: int
+    t_att: float = 300.0  # attestation interval
+    t_gen: float = 1.0  # response delay
+    pool_max: int = wire.RESPONSE_MAX_NONCES
 
     def __post_init__(self):
-        check_provisioning(self.t_att, self.t_gen, self.pool_max)
-
-
-def check_provisioning(t_att: float, t_gen: float, pool_max: int) -> None:
-    """Raise ProvisioningError for a timer or pool cap outside its range."""
-    if not (type(pool_max) is int and 1 <= pool_max <= wire.RESPONSE_MAX_NONCES):
-        raise ProvisioningError(
-            f"pool_max must be an integer in [1, {wire.RESPONSE_MAX_NONCES}], got {pool_max!r}"
-        )
-    if not 0 < t_att < math.inf:
-        raise ProvisioningError(f"attestation interval must be positive and finite, got {t_att!r}")
-    if not 0 <= t_gen < math.inf:
-        raise ProvisioningError(f"response delay must be >= 0 and finite, got {t_gen!r}")
+        pool_max, t_att, t_gen = self.pool_max, self.t_att, self.t_gen
+        if not (type(pool_max) is int and 1 <= pool_max <= wire.RESPONSE_MAX_NONCES):
+            raise ProvisioningError(
+                f"pool_max must be an integer in [1, {wire.RESPONSE_MAX_NONCES}], got {pool_max!r}"
+            )
+        if not 0 < t_att < math.inf:
+            raise ProvisioningError(
+                f"attestation interval must be positive and finite, got {t_att!r}"
+            )
+        if not 0 <= t_gen < math.inf:
+            raise ProvisioningError(f"response delay must be >= 0 and finite, got {t_gen!r}")
 
 
 @dataclass(frozen=True)
@@ -230,16 +235,16 @@ def provision_db_device(
     mfr: crypto.KeyPair,
     descriptor: DeviceDescriptor,
     *,
-    t_att: float,
-    t_gen: float,
-    pool_max: int,
     store: ManifestStore,
     rng: Random,
+    **settings,
 ) -> DeviceProvisioningRecord:
     """Generate device keys, publish the signed manifest, return the record.
 
     The device key pair never leaves the returned record; the manifest is
     stored under a fresh URL token and signed by the manufacturer key.
+    `settings` are the record's `t_att`, `t_gen` and `pool_max`; one left
+    out takes the record's default.
     """
     keypair = crypto.generate_keypair(rng)
     mfr_cert = issue_cert("mfr", mfr.public_key, mfr)
@@ -270,9 +275,7 @@ def provision_db_device(
         keypair=keypair,
         url=token,
         software_hash=crypto.hash_image(descriptor.software_image),
-        t_att=t_att,
-        t_gen=t_gen,
-        pool_max=pool_max,
+        **settings,
     )
 
 

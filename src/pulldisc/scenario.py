@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import Any
@@ -17,7 +17,7 @@ from typing import Any
 from . import agent as agent_mod
 from . import crypto
 from . import device as device_mod
-from . import registration, simnet, wire
+from . import registration, simnet
 
 
 class ConfigError(ValueError):
@@ -29,38 +29,41 @@ class ConfigError(ValueError):
 # applies otherwise; keys whose constructor has no default take the
 # scenario default given here.
 _DESCRIPTOR_DEFAULTS = {"device_type": "sensor", "software_version": "1.0"}
-_PROVISION_DEFAULTS = {"t_att": 300.0, "t_gen": 1.0, "pool_max": wire.RESPONSE_MAX_NONCES}
+_PROVISION_KEYS = ("t_att", "t_gen", "pool_max")
 _DEVICE_ARGS = ("t_res", "t_att_exec", "announce_interval", "announce_wire_size", "pool_tmp_cap")
 _USER_ARGS = ("scan_window",)
 _NODE_ARGS = ("domain",)
 _DEFAULT_ARRIVAL = {"kind": "periodic"}
 
-_LINK_KEYS = {"p_loss", "latency_min", "latency_max", "randomize_addresses", "manifest_fetch_delay"}
+# Device and user entries feed several constructors each, so their keys are
+# listed here; every other section is checked by the one constructor it feeds.
 _DEVICE_KEYS = {
     "name", "mode", "blend",
-    *_DESCRIPTOR_DEFAULTS, *_PROVISION_DEFAULTS, *_DEVICE_ARGS, *_NODE_ARGS,
+    *_DESCRIPTOR_DEFAULTS, *_PROVISION_KEYS, *_DEVICE_ARGS, *_NODE_ARGS,
 }
-_BLEND_KEYS = {"switch_threshold", "window", "push_period", "announce_interval"}
 _USER_KEYS = {"name", "arrival", *_USER_ARGS, *_NODE_ARGS}
-_ARRIVAL_KEYS = {"kind", "interval", "start", "count"}
-_ADVERSARY_KEYS = {"name", "behavior", "rate", "stop", "record_until", "replay_at", *_NODE_ARGS}
-_TOP_KEYS = {"seed", "horizon", "mode", "link", "devices", "users", "adversaries", "output"}
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _check(where: str, make, *args, **kwargs) -> None:
-    """Run a constructor's own value checks at load, as a ConfigError."""
+def _check(where: str, build):
+    """Call `build`, a constructor call with no arguments left, at load;
+    its own checks, unknown keys included, fail as a ConfigError."""
     try:
-        make(*args, **kwargs)
+        return build()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from None
+
+
+def _check_period(where: str, name: str, period: float, horizon: float) -> None:
+    # A step the clock cannot add at the horizon would repeat one instant forever.
+    if horizon + period == horizon:
+        raise ConfigError(f"{where}: {name} {period!r} is below the clock's resolution "
+                          f"at horizon {horizon!r}")
 
 
 def _named_entries(doc: dict, key: str) -> list[dict]:
@@ -88,7 +91,7 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         if not isinstance(doc, dict):
             raise ConfigError("scenario must be a JSON object")
-        _require_keys(doc, _TOP_KEYS, "scenario")
+        _require_keys(doc, {f.name for f in fields(cls)}, "scenario")
         # Exact types: a bool is an int to isinstance, and would pass.
         if type(doc.get("seed")) is not int:
             raise ConfigError("scenario requires an explicit integer seed")
@@ -99,9 +102,11 @@ class ScenarioConfig:
         if mode != "db":
             raise ConfigError(f"unsupported scenario mode {mode!r}; only 'db' runs "
                               "(push and blend are set per device)")
+        output = doc.get("output")
+        if not (output is None or isinstance(output, str)):
+            raise ConfigError(f"output must be null or a path, got {output!r}")
         link = doc.get("link", {})
-        _require_keys(link, _LINK_KEYS, "link")
-        _check("link", simnet.LinkConfig, **link)
+        _check("link", lambda: simnet.LinkConfig(**link))
         devices, users, adversaries = (
             _named_entries(doc, key) for key in ("devices", "users", "adversaries")
         )
@@ -112,33 +117,35 @@ class ScenarioConfig:
         for dev in devices:
             where = f"device {dev['name']}"
             _require_keys(dev, _DEVICE_KEYS, where)
-            _check(where, registration.check_provisioning,
-                   **{**_PROVISION_DEFAULTS, **_given(dev, _PROVISION_DEFAULTS)})
-            _check(where, device_mod.check_options, **_given(dev, _DEVICE_ARGS))
-            if "mode" in dev:
-                _check(where, device_mod.Mode, dev["mode"])
-            dev_mode = dev.get("mode")
-            if (dev_mode == "blend") != (dev.get("blend") is not None):
-                raise ConfigError(f"{where}: mode 'blend' needs a blend policy, "
-                                  "and a blend policy needs mode 'blend'")
-            if dev_mode == "blend":
-                _require_keys(dev["blend"], _BLEND_KEYS, "blend policy")
-                _check(f"blend policy for {where}", device_mod.BlendPolicy, **dev["blend"])
-            if "announce_interval" in dev and dev_mode != "push":
+            _check(where, lambda: _descriptor(dev))
+            # Keys, image and rng are first used in the run.
+            record = _check(where, lambda: registration.DeviceProvisioningRecord(
+                None, b"", b"", **_given(dev, _PROVISION_KEYS)))
+            device = _check(
+                where, lambda: device_mod.Device(None, b"", None, **_device_options(dev))
+            )
+            if "announce_interval" in dev and device.mode is not device_mod.Mode.PUSH:
                 raise ConfigError(f"{where}: announce_interval applies only to mode 'push' "
                                   "(a blend device reads blend.announce_interval)")
+            _check_period(where, "t_att", record.t_att, horizon)
+            _check_period(where, "announce_interval", device.announce_interval, horizon)
+            if device.blend is not None:
+                _check_period(where, "blend.announce_interval", device.blend.announce_interval,
+                              horizon)
         for user in users:
             where = f"user {user['name']}"
             _require_keys(user, _USER_KEYS, where)
             # Trust keys, store and rng are first used in the run.
-            _check(where, agent_mod.UserAgent, (), None, None, **_given(user, _USER_ARGS))
+            _check(where, lambda: agent_mod.UserAgent((), None, None, **_given(user, _USER_ARGS)))
             arrival = user.get("arrival", _DEFAULT_ARRIVAL)
-            _require_keys(arrival, _ARRIVAL_KEYS, "arrival")
-            _check(f"arrival for {where}", simnet.ArrivalModel, **arrival)
+            arrivals = _check(f"arrival for {where}", lambda: simnet.ArrivalModel(**arrival))
+            if arrivals.kind != "burst":
+                _check_period(f"arrival for {where}", "interval", arrivals.interval, horizon)
         for adv in adversaries:
             where = f"adversary {adv['name']}"
-            _require_keys(adv, _ADVERSARY_KEYS, where)
-            _check(where, simnet.AdversaryNode, rng=None, **adv)  # rng is first used in the run
+            # rng is first used in the run.
+            node = _check(where, lambda: simnet.AdversaryNode(rng=None, **adv))
+            _check_period(where, "1/rate", 1.0 / node.rate, horizon)
         return cls(
             seed=doc["seed"],
             horizon=float(horizon),
@@ -147,7 +154,7 @@ class ScenarioConfig:
             devices=devices,
             users=users,
             adversaries=adversaries,
-            output=doc.get("output"),
+            output=output,
         )
 
     @classmethod
@@ -189,6 +196,27 @@ def _given(spec: dict, keys) -> dict:
     return {key: spec[key] for key in keys if key in spec}
 
 
+def _descriptor(spec: dict) -> registration.DeviceDescriptor:
+    name = spec["name"]
+    return registration.DeviceDescriptor(
+        **{**_DESCRIPTOR_DEFAULTS, **_given(spec, _DESCRIPTOR_DEFAULTS)},
+        sensors_actuators=("temperature",),
+        coarse_location="site",
+        software_image=f"image/{name}".encode(),
+        full_url=f"https://devices.example/{name}",
+    )
+
+
+def _device_options(spec: dict) -> dict:
+    """The `Device` settings a device entry gives, `mode` and `blend` parsed."""
+    options = _given(spec, _DEVICE_ARGS)
+    if "mode" in spec:
+        options["mode"] = device_mod.Mode(spec["mode"])
+    if spec.get("blend") is not None:
+        options["blend"] = device_mod.BlendPolicy(**spec["blend"])
+    return options
+
+
 def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltScenario:
     """Provision every configured device and assemble the network."""
     link = simnet.LinkConfig(**config.link)
@@ -201,26 +229,13 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltSc
     device_nodes = []
     for spec in config.devices:
         name = spec["name"]
-        descriptor = registration.DeviceDescriptor(
-            **{**_DESCRIPTOR_DEFAULTS, **_given(spec, _DESCRIPTOR_DEFAULTS)},
-            sensors_actuators=("temperature",),
-            coarse_location="site",
-            software_image=f"image/{name}".encode(),
-            full_url=f"https://devices.example/{name}",
-        )
+        descriptor = _descriptor(spec)
         record = registration.provision_db_device(
-            mfr,
-            descriptor,
-            **{**_PROVISION_DEFAULTS, **_given(spec, _PROVISION_DEFAULTS)},
-            store=store,
-            rng=provision_rng,
+            mfr, descriptor, store=store, rng=provision_rng, **_given(spec, _PROVISION_KEYS)
         )
-        options = _given(spec, _DEVICE_ARGS)
-        if "mode" in spec:
-            options["mode"] = device_mod.Mode(spec["mode"])
-        if spec.get("blend") is not None:
-            options["blend"] = device_mod.BlendPolicy(**spec["blend"])
-        dev = device_mod.Device(record, descriptor.software_image, world.node_rng(name), **options)
+        dev = device_mod.Device(
+            record, descriptor.software_image, world.node_rng(name), **_device_options(spec)
+        )
         device_nodes.append(
             world.add_node(simnet.DeviceNode(name, dev, **_given(spec, _NODE_ARGS)))
         )

@@ -58,6 +58,9 @@ class LinkConfig:
         if not self.manifest_fetch_delay >= 0.0:
             raise ValueError(
                 f"manifest_fetch_delay must be >= 0, got {self.manifest_fetch_delay!r}")
+        if type(self.randomize_addresses) is not bool:
+            raise ValueError(
+                f"randomize_addresses must be true or false, got {self.randomize_addresses!r}")
 
 
 @dataclass(frozen=True)
@@ -267,9 +270,10 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in ("periodic", "poisson", "burst"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if self.kind != "burst" and not self.interval > 0:
+        if self.kind != "burst" and not 0 < self.interval < math.inf:
             # A zero interval would repeat one instant forever.
-            raise ValueError(f"{self.kind} arrival interval must be positive")
+            raise ValueError(f"{self.kind} arrival interval must be positive and finite, "
+                             f"got {self.interval!r}")
         if not 0 <= self.start < math.inf:
             raise ValueError(f"arrival start must be >= 0 and finite, got {self.start!r}")
         if not (self.count is None or (type(self.count) is int and self.count >= 0)):
@@ -463,9 +467,17 @@ class AdversaryNode(Node):
         self.rate = rate
         self.stop = stop
         self.record_until = record_until
+        if not isinstance(replay_at, (list, tuple, type(None))):
+            raise TypeError(f"adversary replay_at must be a list of times, got {replay_at!r}")
         self.replay_at = list(replay_at or [])
-        if not all(isinstance(t, (int, float)) for t in (stop, record_until, *self.replay_at)):
+        # Exact types: a bool is an int to isinstance, and is not a time.
+        if not all(type(t) in (int, float) for t in (stop, record_until, *self.replay_at)):
             raise TypeError("adversary stop, record_until and replay_at times must be numbers")
+        if math.isnan(stop) or math.isnan(record_until):
+            raise ValueError("adversary stop and record_until must not be NaN")
+        if not all(0 <= t < math.inf for t in self.replay_at):
+            raise ValueError(
+                f"adversary replay_at times must be >= 0 and finite, got {self.replay_at!r}")
         self.recorded: list[bytes] = []
 
     def start(self, now: float) -> None:

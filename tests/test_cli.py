@@ -1,5 +1,6 @@
 """CLI surface: every subcommand drives the real machinery."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -41,6 +42,41 @@ def test_provision_writes_store_and_trust(tmp_path, capsys):
     manifest_bytes, sig = registration.resolve_manifest(store, token)
     manifest = registration.verify_manifest(manifest_bytes, sig, keys)
     assert manifest.device_public_key.hex() == records[0]["public_key"]
+
+
+def _provisioned(tmp_path, *flags):
+    out = tmp_path / "prov"
+    assert main(["provision", "--out", str(out), "--seed", "9", *flags]) == 0
+    store = registration.ManifestStore.load_dir(out / "manifests")
+    records = json.loads((out / "devices.json").read_text())
+    manifest_bytes, _ = registration.resolve_manifest(store, records[0]["url"].encode("ascii"))
+    return registration.Manifest.from_canonical(manifest_bytes), records[0]
+
+
+@pytest.mark.parametrize(
+    "flags, sensors",
+    [
+        ([], ("temperature",)),
+        (["--sensor", "humidity"], ("humidity",)),
+        (["--sensor", "humidity", "--sensor", "door"], ("humidity", "door")),
+    ],
+)
+def test_provision_sensor_flags_replace_the_default(tmp_path, capsys, flags, sensors):
+    manifest, _ = _provisioned(tmp_path, *flags)
+    assert manifest.sensors_actuators == sensors
+
+
+def test_provision_settings_left_out_take_the_records_defaults(tmp_path, capsys):
+    defaults = {
+        f.name: f.default
+        for f in dataclasses.fields(registration.DeviceProvisioningRecord)
+        if f.default is not dataclasses.MISSING
+    }
+    assert set(defaults) == {"t_att", "t_gen", "pool_max"}
+    _, record = _provisioned(tmp_path)
+    assert {key: record[key] for key in defaults} == defaults
+    _, record = _provisioned(tmp_path / "given", "--t-att", "50", "--pool-max", "7")
+    assert {key: record[key] for key in defaults} == dict(defaults, t_att=50.0, pool_max=7)
 
 
 def test_scan_prints_json_lines(tmp_path, capsys):
@@ -187,6 +223,27 @@ def test_wire_decode_truncated_reports_offset(capsys):
 
 def test_wire_decode_bad_hex(capsys):
     assert main(["wire", "decode", "--hex", "zz"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lkh", "demo", "--n", "1", "--seed", "1"], "at least 2 devices"),
+        (["lkh", "demo", "--n", "8", "--seed", "1", "--device", "99"], "device index 99"),
+        (["im", "solicit", "--devices", "1", "--mode", "lkh", "--seed", "1"], "at least 2 devices"),
+        (["im", "solicit", "--p", "1", "--mode", "lkh", "--seed", "1"], "arity must be at least 2"),
+        (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", "a,b"],
+         "invalid literal"),
+        (["analytic", "ubusy", "--t-req", "0"], "must be positive"),
+    ],
+    ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
+         "sweep-not-seeds", "ubusy-zero-interval"],
+)
+def test_bad_argument_prints_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_scenario_output_path_from_config(tmp_path, capsys, monkeypatch):

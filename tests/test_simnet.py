@@ -1,15 +1,18 @@
 """Simulator behavior: delivery, loss, ordering, determinism, adversaries."""
 
 import functools
+import heapq
 import inspect
 import itertools
 import json
 import math
+import types
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulldisc import agent, crypto, registration, scenario, simnet, wire
@@ -597,6 +600,58 @@ _BLEND = {"switch_threshold": 7, "window": 2.0, "push_period": 3.0, "announce_in
                      id="string-adversary-stop"),
         pytest.param({"adversaries": [{"name": "a", "behavior": "replay", "replay_at": 5}]},
                      id="replay-at-not-a-list"),
+        *(
+            pytest.param({"devices": [{"name": "d", "device_type": value}]},
+                         id=f"device-type-{json.dumps(value)}")
+            for value in (5, True, None, [], {})
+        ),
+        pytest.param({"devices": [{"name": "d", "software_version": 2}]},
+                     id="numeric-software-version"),
+        *(
+            pytest.param(
+                {"users": [{"name": "u", "arrival": {"kind": kind, "interval": math.inf}}]},
+                id=f"infinite-{kind}-interval",
+            )
+            for kind in ("poisson", "periodic")
+        ),
+        *(
+            pytest.param({"adversaries": [{"name": "a", "behavior": "replay", "replay_at": at}]},
+                         id=f"replay-at-{json.dumps(at)}")
+            for at in ([-1.0], [math.nan], [math.inf], [True], {}, 0)
+        ),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "flood", "stop": math.nan}]},
+                     id="nan-adversary-stop"),
+        pytest.param(
+            {"adversaries": [{"name": "a", "behavior": "replay", "record_until": math.nan}]},
+            id="nan-record-until",
+        ),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "flood", "stop": True}]},
+                     id="bool-adversary-stop"),
+        pytest.param({"link": {"randomize_addresses": "false"}}, id="string-randomize-addresses"),
+        pytest.param({"link": {"randomize_addresses": 0}}, id="numeric-randomize-addresses"),
+        pytest.param(
+            {"users": [{"name": "u", "arrival": {"kind": "periodic", "interval": 1e-300}}]},
+            id="arrival-interval-below-clock-resolution",
+        ),
+        pytest.param({"adversaries": [{"name": "a", "behavior": "flood", "rate": 1e300}]},
+                     id="adversary-rate-above-clock-resolution"),
+        pytest.param({"devices": [{"name": "d", "t_att": 1e-300}]},
+                     id="t_att-below-clock-resolution"),
+        pytest.param({"devices": [{"name": "d", "mode": "push", "announce_interval": 1e-300}]},
+                     id="announce-interval-below-clock-resolution"),
+        pytest.param(
+            {"devices": [{"name": "d", "mode": "blend",
+                          "blend": dict(_BLEND, announce_interval=1e-300)}]},
+            id="blend-announce-interval-below-clock-resolution",
+        ),
+        *(
+            pytest.param(
+                {"devices": [{"name": "d", "mode": "blend", "blend": {**_BLEND, key: math.nan}}]},
+                id=f"nan-blend-{key}",
+            )
+            for key in _BLEND
+        ),
+        pytest.param({"output": 5}, id="numeric-output"),
     ],
 )
 def test_bad_config_rejected_at_load(overrides):
@@ -606,6 +661,31 @@ def test_bad_config_rejected_at_load(overrides):
     doc.update(overrides)
     with pytest.raises(scenario.ConfigError):
         scenario.ScenarioConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"link": {"typo": 1}}, "bad link: .*unexpected keyword argument 'typo'"),
+        ({"users": [{"name": "u", "arrival": {"kind": "burst", "typo": 1}}]},
+         "bad arrival for user u: .*unexpected keyword argument 'typo'"),
+        ({"devices": [{"name": "d", "mode": "blend", "blend": dict(_BLEND, typo=1)}]},
+         "bad device d: .*unexpected keyword argument 'typo'"),
+        ({"adversaries": [{"name": "a", "behavior": "flood", "typo": 1}]},
+         "bad adversary a: .*unexpected keyword argument 'typo'"),
+        ({"adversaries": [{"name": "a", "behavior": "flood", "rng": 1}]},
+         "bad adversary a: .*multiple values for keyword argument 'rng'"),
+        ({"link": 5}, "bad link: .*must be a mapping"),
+        ({"users": [{"name": "u", "arrival": [1]}]}, "bad arrival for user u: .*must be a mapping"),
+        ({"devices": [{"name": "d", "mode": "blend", "blend": "on"}]},
+         "bad device d: .*must be a mapping"),
+    ],
+    ids=["link-typo", "arrival-typo", "blend-typo", "adversary-typo", "adversary-rng",
+         "link-not-an-object", "arrival-not-an-object", "blend-not-an-object"],
+)
+def test_constructor_names_the_bad_key(doc, message):
+    with pytest.raises(scenario.ConfigError, match=message):
+        scenario.ScenarioConfig.from_dict({"seed": 1, "horizon": 10.0, **doc})
 
 
 def _signature_defaults(cls) -> dict:
@@ -680,6 +760,151 @@ def test_every_optional_node_key_reaches_its_constructor():
     assert nodes["b"].device.blend == device_mod.BlendPolicy(**_BLEND)
     assert nodes["u"].arrivals == simnet.ArrivalModel(**arrival)
     assert nodes["a"].behavior == "replay"
+
+
+# Random configs. Per key: common values, then edge values (boundaries,
+# wrong types, out-of-range and sub-resolution numbers). A key with no
+# common values is only ever set by an edit. Loads stay below
+# saturation: a device busy right up to the horizon fails busy_within_horizon
+# by design (test_scenario_run_fails_on_failed_check), so flood rates are
+# small and `rate` is always given (its default is 100/s).
+_ODD = (None, True, "1", [], {}, math.nan, math.inf, -math.inf)
+_OMIT = object()
+_KEYS = {
+    "scenario": {
+        "seed": ([1, 2**64], [-3, 1.0]),
+        "horizon": ([5.0, 12], [1e300, 0, -1.0]),
+        "mode": (["db"], ["im"]),
+        "output": ([None, "out"], [""]),
+        "link": ([], []),
+        "devices": ([], []),
+        "users": ([], []),
+        "adversaries": ([], []),
+    },
+    "link": {
+        "p_loss": ([0.0, 0.1], [1.0, -0.1, 1.1]),
+        "latency_min": ([0.001], [0.0, -1.0, 1e300]),
+        "latency_max": ([0.01], [0.0, 1e300]),
+        "randomize_addresses": ([True, False], ["false", 0]),
+        "manifest_fetch_delay": ([1.3], [0.0, -1.0, 1e300]),
+    },
+    "device": {
+        "name": ([], ["u0", 5]),
+        "mode": ([], ["pull", "push", "blend", "pulse"]),
+        "blend": ([], [dict(_BLEND), 5]),
+        "device_type": (["sensor", "camera"], [5, ""]),
+        "software_version": (["1.0"], [2]),
+        "t_att": ([300.0, 2.0], [0, -1.0, 1e-300, 1e300]),
+        "t_gen": ([1.0, 0.0], [-1.0, 1e300]),
+        "pool_max": ([129, 1], [0, 130, 10.0]),
+        "t_res": ([0.233, 0.0], [-1.0, 1e-300]),
+        "t_att_exec": ([0.001, 0.0], [-1.0, 0.01]),
+        "announce_interval": ([], [1.0, 0, 1e-300, 1e300]),
+        "announce_wire_size": ([128], [102, 1650, 101, 1651, 128.0]),
+        "pool_tmp_cap": ([None, 40], [0, -1, 1.5]),
+        "domain": (["default"], ["east"]),
+    },
+    "blend": {
+        "switch_threshold": ([1, 7], [0, -1, 2.5]),
+        "window": ([2.0], [0, -1.0, 1e300]),
+        "push_period": ([3.0], [0, 1e300]),
+        "announce_interval": ([1.0, 2.0], [0, 1e-300, 1e300]),
+    },
+    "user": {
+        "name": ([], ["d0", 5]),
+        "arrival": ([], []),
+        "scan_window": ([10.0, 0.5], [0, -1.0, 1e300]),
+        "domain": (["default"], ["east"]),
+    },
+    "arrival": {
+        "kind": (["periodic", "poisson", "burst"], ["sometimes"]),
+        "interval": ([2.0, 5.0], [0, -1.0, 1e-300, 1e300]),
+        "start": ([0.0, 1.0], [-1.0, 1e300]),
+        "count": ([None, 3], [0, -1, 2.5]),
+    },
+    "adversary": {
+        "name": ([], ["d0", 5]),
+        "behavior": (["flood", "replay", "forge_response", "forge_request"], ["jam"]),
+        "rate": ([0.5, 1.0], [0, 1e-300, 1e300]),
+        "stop": ([3.0, math.inf], [-1.0]),
+        "record_until": ([2.0, 0.0], [-1.0]),
+        "replay_at": ([[1.0, 4.0], []], [[-1.0], [math.nan], [math.inf], [True], 5, 0]),
+        "domain": (["default"], ["east"]),
+    },
+}
+
+
+@st.composite
+def _scenario_docs(draw):
+    """A runnable doc drawn from the common values, then up to four edits,
+    each deleting one key of one section or setting it to an edge value."""
+    sections = []
+
+    def section(kind, out=None, always=()):
+        out = {} if out is None else out
+        for key, (common, _edge) in _KEYS[kind].items():
+            if common:
+                value = draw(st.sampled_from(common if key in always else [*common, _OMIT]))
+                if value is not _OMIT:
+                    out[key] = value
+        sections.append((kind, out))
+        return out
+
+    doc = section("scenario", always=("seed", "horizon"))
+    doc["link"] = section("link")
+    doc["devices"] = []
+    for i in range(draw(st.integers(0, 2))):
+        mode = draw(st.sampled_from(["pull", "push", "blend", _OMIT]))
+        dev = {"name": f"d{i}"} if mode is _OMIT else {"name": f"d{i}", "mode": mode}
+        if mode == "push":
+            dev["announce_interval"] = draw(st.sampled_from([1.0, 4.0]))
+        if mode == "blend":
+            dev["blend"] = section("blend", always=tuple(_KEYS["blend"]))
+        doc["devices"].append(section("device", dev))
+    doc["users"] = [
+        section("user", {"name": f"u{i}", "arrival": section("arrival", always=("kind",))})
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    doc["adversaries"] = [
+        section("adversary", {"name": f"a{i}"}, always=("behavior", "rate"))
+        for i in range(draw(st.integers(0, 1)))
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        kind, target = draw(st.sampled_from(sections))
+        key = draw(st.sampled_from(sorted(_KEYS[kind])))
+        value = draw(st.sampled_from([*_KEYS[kind][key][1], *_ODD, _OMIT]))
+        if value is _OMIT:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return doc
+
+
+def _budgeted_heapq(budget: int):
+    """A stand-in for the simulator's heapq that refuses the event past `budget`."""
+    pushed = itertools.count(1)
+
+    def heappush(queue, item):
+        if next(pushed) > budget:
+            raise AssertionError(f"more than {budget} events queued")
+        heapq.heappush(queue, item)
+
+    return types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+
+
+@given(_scenario_docs())
+@example({"seed": 1, "horizon": 5.0, "devices": [{"name": "d0", "device_type": 5}]})
+@example({"seed": 1, "horizon": 5.0,
+          "users": [{"name": "u0", "arrival": {"kind": "poisson", "interval": math.inf}}]})
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_random_config_runs_as_written_or_is_rejected(doc):
+    try:
+        config = scenario.ScenarioConfig.from_dict(doc)
+    except scenario.ConfigError:
+        return
+    with mock.patch.object(simnet, "heapq", _budgeted_heapq(100_000)):
+        _, report = scenario.run_scenario(config)
+    assert all(report.checks.values()), report.checks
 
 
 def test_capture_frames_record_payloads():
