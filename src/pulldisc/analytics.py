@@ -20,11 +20,23 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import wire
 
 SECONDS_PER_DAY = 86400.0
+
+
+def _check_fields(model) -> None:
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
+
+
+def _check_interval(name: str, interval: float) -> None:
+    if not 0 < interval < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {interval!r}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +45,7 @@ class CostModel:
     t_res: float = 0.233  # response generation seconds, signing dominated
 
     def __post_init__(self):
-        if min(self.t_ann, self.t_res) < 0:
-            raise ValueError("cost model entries cannot be negative")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -47,14 +58,15 @@ class ScenarioModel:
     t_gen: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.crowded_hours <= 24:
+        _check_fields(self)
+        if self.crowded_hours > 24:
             raise ValueError("crowded_hours must be within a day")
+        _check_interval("crowded_t_req", self.crowded_t_req)
 
 
 def ubusy_push(model: CostModel, t_ann_interval: float, form: str = "inclusive") -> float:
     """Fraction of device time spent generating announcements."""
-    if t_ann_interval <= 0:
-        raise ValueError("announcement interval must be positive")
+    _check_interval("announcement interval", t_ann_interval)
     if form == "exclusive":
         return model.t_ann / t_ann_interval
     if form == "inclusive":
@@ -64,8 +76,7 @@ def ubusy_push(model: CostModel, t_ann_interval: float, form: str = "inclusive")
 
 def ubusy_pull(model: CostModel, t_req: float, form: str = "inclusive") -> float:
     """Fraction of device time spent generating responses, one per t_req."""
-    if t_req <= 0:
-        raise ValueError("request interval must be positive")
+    _check_interval("request interval", t_req)
     if form == "exclusive":
         return model.t_res / t_req
     if form == "inclusive":
@@ -80,8 +91,9 @@ def ubusy_pull_worst_case(model: CostModel, t_gen: float, form: str = "inclusive
 
 def bandwidth_push(announcement_size: int = 128, t_ann: float = 1.0) -> float:
     """Average bits per second of a push device."""
-    if announcement_size <= 0 or t_ann <= 0:
-        raise ValueError("sizes and intervals must be positive")
+    if announcement_size <= 0:
+        raise ValueError("announcement size must be positive")
+    _check_interval("announcement interval", t_ann)
     return 8.0 * announcement_size / t_ann
 
 
@@ -103,13 +115,9 @@ def bandwidth_pull(
     crowded_seconds = scenario.crowded_hours * 3600.0
     total_bytes = 0.0
 
-    if crowded_seconds > 0 and scenario.crowded_t_req > 0:
+    if crowded_seconds > 0:
         requests = crowded_seconds / scenario.crowded_t_req
-        per_response = (
-            max(1, math.ceil(scenario.t_gen / scenario.crowded_t_req))
-            if scenario.t_gen > 0
-            else 1
-        )
+        per_response = max(1, math.ceil(scenario.t_gen / scenario.crowded_t_req))
         responses = requests / per_response
         total_bytes += requests * request_size
         total_bytes += responses * (response_base + nonce_size * per_response)

@@ -176,6 +176,8 @@ def _cmd_lkh_demo(args) -> int:
 
 
 def _cmd_im_solicit(args) -> int:
+    if args.devices < 1:
+        raise ValueError(f"im solicit needs at least 1 device, got {args.devices}")
     rng = Random(args.seed)
     owner = inventory.Owner(crypto.generate_keypair(rng), Random(args.seed + 1))
     image = b"inventory-image"

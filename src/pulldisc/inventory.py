@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -31,6 +32,12 @@ def build_device_info(device_id: bytes, type_code: int, sw_version: int) -> byte
         raise ValueError(f"device id must be {DEVICE_ID_LEN} bytes")
     packed = device_id + struct.pack(">HH", type_code, sw_version)
     return packed + bytes(wire.IM_DEVICE_INFO_LEN - len(packed))
+
+
+def _device_id(device_info: bytes) -> bytes:
+    if len(device_info) != wire.IM_DEVICE_INFO_LEN:
+        raise ValueError(f"device info must be {wire.IM_DEVICE_INFO_LEN} bytes")
+    return device_info[:DEVICE_ID_LEN]
 
 
 def parse_device_info(info: bytes) -> tuple[bytes, int, int]:
@@ -67,8 +74,7 @@ class ImDevice:
         rng: Random,
         lkh_vector: tuple[bytes, ...] | None = None,
     ):
-        if len(device_info) != wire.IM_DEVICE_INFO_LEN:
-            raise ValueError(f"device info must be {wire.IM_DEVICE_INFO_LEN} bytes")
+        _device_id(device_info)  # checks the length
         if lkh_vector is not None and lkh_vector[-1] != record.shared_key:
             raise ValueError("tree leaf key must equal the provisioned shared key")
         self.record = record
@@ -134,9 +140,7 @@ class Owner:
     ) -> ImDevice:
         """Provision one device with a fresh random shared key."""
         record = provision_im_device(self.keypair.public_key, software_image, rng)
-        device_id = device_info[:DEVICE_ID_LEN]
-        self._remember(device_id, record.shared_key)
-        return ImDevice(record, device_info, software_image, _child_rng(rng))
+        return self._enroll(record, device_info, software_image, rng)
 
     def enroll_lkh_fleet(
         self, device_infos: Sequence[bytes], software_image: bytes, p: int, rng: Random
@@ -144,26 +148,24 @@ class Owner:
         """Build the key tree and provision every device from its leaf."""
         if self.key_table:
             raise ValueError("fleet already enrolled")
-        self.tree = keytree.build_tree(len(device_infos), p, rng)
+        _check_unique([_device_id(info) for info in device_infos])
+        tree = keytree.build_tree(len(device_infos), p, rng)
+        software_hash = crypto.hash_image(software_image)
         devices = []
         for index, info in enumerate(device_infos):
-            key = self.tree.leaf_key(index)
-            record = ImProvisioningRecord(
-                owner_public_key=self.keypair.public_key,
-                shared_key=key,
-                software_hash=crypto.hash_image(software_image),
-            )
-            self._remember(info[:DEVICE_ID_LEN], key)
-            devices.append(
-                ImDevice(
-                    record,
-                    info,
-                    software_image,
-                    _child_rng(rng),
-                    lkh_vector=keytree.device_key_vector(self.tree, index),
-                )
-            )
+            key = tree.leaf_key(index)
+            record = ImProvisioningRecord(self.keypair.public_key, key, software_hash)
+            vector = keytree.device_key_vector(tree, index)
+            devices.append(self._enroll(record, info, software_image, rng, vector))
+        self.tree = tree
         return devices
+
+    def _enroll(self, record: ImProvisioningRecord, device_info: bytes, software_image: bytes,
+                rng: Random, lkh_vector: tuple[bytes, ...] | None = None) -> ImDevice:
+        # Built first: a device info it refuses leaves the owner unchanged.
+        device = ImDevice(record, device_info, software_image, _child_rng(rng), lkh_vector)
+        self._remember(device_info[:DEVICE_ID_LEN], record.shared_key)
+        return device
 
     def _remember(self, device_id: bytes, key: bytes) -> None:
         if device_id in self.key_table:
@@ -186,10 +188,10 @@ class Owner:
         data = Path(path).read_bytes()
         if len(data) % record_len != 0:
             raise ValueError(f"key table file is not a multiple of {record_len} bytes")
-        for off in range(0, len(data), record_len):
-            device_id = data[off : off + DEVICE_ID_LEN]
-            key = data[off + DEVICE_ID_LEN : off + record_len]
-            self._remember(device_id, key)
+        records = [data[off : off + record_len] for off in range(0, len(data), record_len)]
+        _check_unique([record[:DEVICE_ID_LEN] for record in records])
+        for record in records:
+            self._remember(record[:DEVICE_ID_LEN], record[DEVICE_ID_LEN:])
 
     # -- solicitation -------------------------------------------------------
 
@@ -221,44 +223,33 @@ class Owner:
             return ImDiscard.REPLAY
 
         ad = _associated_data(message.lkh_header)
-        trials = 0
-        prf_evals = 0
+        trials = prf_evals = 0
         plaintext = None
         if self.tree is not None:
             # Fast path: walk the tree under the outstanding nonce. A stale
             # response carries header fields over an older nonce, so the
-            # walk lands on the wrong leaf; fall through to the exhaustive
-            # scan in that case so replays are still told apart from junk.
+            # walk lands on the wrong leaf (or a padding one); any miss falls
+            # through to the exhaustive scan so replays are still told apart
+            # from junk.
             try:
                 index, prf_evals = keytree.retrieve_lkh(
                     self.tree, message.lkh_header, self.outstanding_nonce
                 )
-            except keytree.RetrievalError:
-                index = -1
-            if 0 <= index < len(self.device_ids):
-                device_id = self.device_ids[index]
-                try:
-                    plaintext = crypto.aead_open(
-                        self.key_table[device_id], message.iv, message.sealed, ad
-                    )
-                except crypto.AeadAuthenticationError:
-                    pass
+                plaintext = self._open(index, message, ad)
+            except (keytree.RetrievalError, IndexError, crypto.AeadAuthenticationError):
+                pass
 
         if plaintext is None:
+            # The table iterates in enrollment order (`_remember` is its one
+            # writer), so the scan's index is an index into `device_ids`.
             try:
                 index, trials = keytree.retrieve_naive(
-                    [self.key_table[d] for d in self.device_ids],
-                    message.iv,
-                    message.sealed,
-                    ad,
+                    self.key_table.values(), message.iv, message.sealed, ad
                 )
             except keytree.RetrievalError:
                 return ImDiscard.FORGED_OR_FOREIGN
-            device_id = self.device_ids[index]
             # The scan returns only the index, so open the winner once more.
-            plaintext = crypto.aead_open(
-                self.key_table[device_id], message.iv, message.sealed, ad
-            )
+            plaintext = self._open(index, message, ad)
 
         echoed = plaintext[: wire.NONCE_LEN]
         if echoed != self.outstanding_nonce:
@@ -266,12 +257,24 @@ class Owner:
         att_result = plaintext[wire.NONCE_LEN]
         device_info = plaintext[wire.NONCE_LEN + 1 :]
         return ImReceipt(
-            device_id=device_id,
+            device_id=self.device_ids[index],
             att_result=att_result,
             device_info=device_info,
             trials=trials,
             prf_evals=prf_evals,
         )
+
+    def _open(self, index: int, message: wire.ImResponseMsg, ad: bytes) -> bytes:
+        """Plaintext of `message` under the key enrolled at `index`."""
+        key = self.key_table[self.device_ids[index]]
+        return crypto.aead_open(key, message.iv, message.sealed, ad)
+
+
+def _check_unique(device_ids: Sequence[bytes]) -> None:
+    """Refuse a batch with a repeated id before any of it is enrolled."""
+    repeated = sorted(d.hex() for d, count in Counter(device_ids).items() if count > 1)
+    if repeated:
+        raise ValueError(f"duplicate device id(s) {repeated}")
 
 
 def _child_rng(rng: Random) -> Random:

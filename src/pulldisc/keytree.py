@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import crypto
 
@@ -140,7 +140,7 @@ def retrieve_lkh(
 
 
 def retrieve_naive(
-    keys: Sequence[bytes], iv: bytes, sealed: bytes, associated_data: bytes = b""
+    keys: Iterable[bytes], iv: bytes, sealed: bytes, associated_data: bytes = b""
 ) -> tuple[int, int]:
     """Exhaustive trial decryption; returns (key index, trials used)."""
     trials = 0

@@ -124,6 +124,8 @@ class ScenarioConfig:
             device = _check(
                 where, lambda: device_mod.Device(None, b"", None, **_device_options(dev))
             )
+            _check(where, lambda: simnet.DeviceNode(
+                dev["name"], device, **_given(dev, _NODE_ARGS)))
             if "announce_interval" in dev and device.mode is not device_mod.Mode.PUSH:
                 raise ConfigError(f"{where}: announce_interval applies only to mode 'push' "
                                   "(a blend device reads blend.announce_interval)")
@@ -136,9 +138,13 @@ class ScenarioConfig:
             where = f"user {user['name']}"
             _require_keys(user, _USER_KEYS, where)
             # Trust keys, store and rng are first used in the run.
-            _check(where, lambda: agent_mod.UserAgent((), None, None, **_given(user, _USER_ARGS)))
+            agent = _check(
+                where, lambda: agent_mod.UserAgent((), None, None, **_given(user, _USER_ARGS))
+            )
             arrival = user.get("arrival", _DEFAULT_ARRIVAL)
             arrivals = _check(f"arrival for {where}", lambda: simnet.ArrivalModel(**arrival))
+            _check(where, lambda: simnet.AgentNode(
+                user["name"], agent, arrivals, **_given(user, _NODE_ARGS)))
             if arrivals.kind != "burst":
                 _check_period(f"arrival for {where}", "interval", arrivals.interval, horizon)
         for adv in adversaries:

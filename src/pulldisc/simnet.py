@@ -51,13 +51,15 @@ class LinkConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_loss <= 1.0:
             raise ValueError(f"p_loss must be within [0, 1], got {self.p_loss!r}")
-        # A negative latency would schedule a delivery before its broadcast.
-        if not 0.0 <= self.latency_min <= self.latency_max:
-            raise ValueError("latencies must satisfy 0 <= latency_min <= latency_max, "
+        # A negative latency would schedule a delivery before its broadcast,
+        # an infinite one would never deliver.
+        if not 0.0 <= self.latency_min <= self.latency_max < math.inf:
+            raise ValueError("latencies must satisfy 0 <= latency_min <= latency_max < inf, "
                              f"got {self.latency_min!r} and {self.latency_max!r}")
-        if not self.manifest_fetch_delay >= 0.0:
-            raise ValueError(
-                f"manifest_fetch_delay must be >= 0, got {self.manifest_fetch_delay!r}")
+        # It is added to every latency, which metrics.json must write as a number.
+        if not 0.0 <= self.manifest_fetch_delay < math.inf:
+            raise ValueError("manifest_fetch_delay must be >= 0 and finite, "
+                             f"got {self.manifest_fetch_delay!r}")
         if type(self.randomize_addresses) is not bool:
             raise ValueError(
                 f"randomize_addresses must be true or false, got {self.randomize_addresses!r}")
@@ -101,6 +103,9 @@ class Node:
     """Base class: a named participant in one broadcast domain."""
 
     def __init__(self, name: str, domain: str = "default"):
+        # Broadcast compares domains for equality: a NaN one would match none.
+        if not isinstance(domain, str):
+            raise ValueError(f"domain must be a string, got {domain!r}")
         self.name = name
         self.domain = domain
         self.world: "World | None" = None

@@ -1,5 +1,7 @@
 """Closed-form model checks, including the frozen usage-grid values."""
 
+import math
+
 import pytest
 
 from pulldisc import analytics
@@ -49,6 +51,38 @@ def test_bad_arguments(model):
         CostModel(t_ann=-0.1)
     with pytest.raises(ValueError):
         ScenarioModel(crowded_hours=25)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("key", ["t_ann", "t_res"])
+def test_cost_model_needs_finite_nonnegative_costs(key, value):
+    with pytest.raises(ValueError, match=key):
+        CostModel(**{key: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("key", ["crowded_hours", "crowded_t_req", "offpeak_per_hour", "t_gen"])
+def test_scenario_model_needs_finite_nonnegative_fields(key, value):
+    with pytest.raises(ValueError, match=key):
+        ScenarioModel(**{key: value})
+
+
+def test_scenario_model_needs_a_positive_crowded_interval():
+    with pytest.raises(ValueError, match="crowded_t_req"):
+        ScenarioModel(crowded_t_req=0.0)
+    assert ScenarioModel(crowded_hours=0.0, offpeak_per_hour=0.0, t_gen=0.0)
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+def test_model_intervals_must_be_positive_and_finite(model, interval):
+    for call in (
+        lambda: analytics.ubusy_push(model, interval),
+        lambda: analytics.ubusy_pull(model, interval),
+        lambda: analytics.ubusy_pull_worst_case(model, interval),
+        lambda: analytics.bandwidth_push(128, interval),
+    ):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
 
 
 def test_monotonicity(model):

@@ -190,6 +190,20 @@ def test_im_solicit_naive_and_lkh(capsys):
     assert all(l["trials"] == 0 for l in lines)
 
 
+# SHA-256 of the whole stdout, pinned so the owner's enrollment and
+# retrieval paths cannot move a receipt, a trial count or a PRF count.
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("naive", "13fac8ea814d52c7625c232e83feafa047357a8a9e57218a76c2ee2ddaae77fe"),
+        ("lkh", "2d101ec859f50575cde68e1563de896c7ee597c14c1bf5c746098fdcaefb7544"),
+    ],
+)
+def test_im_solicit_output_pinned(capsys, mode, digest):
+    assert main(["im", "solicit", "--devices", "20", "--seed", "4", "--mode", mode]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_wire_decode_request(capsys):
     payload = wire.RequestMsg(bytes(range(12))).encode()
     rc = main(["wire", "decode", "--hex", payload.hex()])
@@ -235,9 +249,15 @@ def test_wire_decode_bad_hex(capsys):
         (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", "a,b"],
          "invalid literal"),
         (["analytic", "ubusy", "--t-req", "0"], "must be positive"),
+        (["analytic", "ubusy", "--t-req", "nan"], "must be positive and finite"),
+        (["analytic", "table1", "--t-ann", "nan"], "t_ann must be finite"),
+        (["analytic", "bandwidth", "--t-req", "nan"], "crowded_t_req must be finite"),
+        (["im", "solicit", "--devices", "0", "--mode", "naive", "--seed", "1"],
+         "at least 1 device"),
     ],
     ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
-         "sweep-not-seeds", "ubusy-zero-interval"],
+         "sweep-not-seeds", "ubusy-zero-interval", "ubusy-nan-interval", "table1-nan-cost",
+         "bandwidth-nan-interval", "im-no-devices"],
 )
 def test_bad_argument_prints_one_error_line(capsys, argv, message):
     assert main(argv) == 2

@@ -4,6 +4,8 @@ and owner-side identification in both retrieval modes."""
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulldisc import crypto, wire
 from pulldisc.inventory import (
@@ -191,6 +193,61 @@ def test_naive_and_lkh_agree():
         assert via_tree.device_id == via_scan.device_id == infos[i][:12]
 
 
+def _verdict(result):
+    if isinstance(result, ImDiscard):
+        return result
+    return result.device_id, result.att_result, result.device_info
+
+
+@given(
+    st.integers(2, 40),
+    st.integers(2, 4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_lkh_and_naive_owners_agree_on_any_payload(n, p, hrng):
+    lkh_owner = Owner(crypto.generate_keypair(Random(60)), Random(61))
+    naive_owner = Owner(lkh_owner.keypair, Random(62))
+    devices = lkh_owner.enroll_lkh_fleet([info(i) for i in range(n)], b"img", p, Random(63))
+    # Mirror the key table so the naive owner can open the same payloads.
+    for device_id, key in lkh_owner.key_table.items():
+        naive_owner.device_ids.append(device_id)
+        naive_owner.key_table[device_id] = key
+    previous = [dev.respond(lkh_owner.make_request()) for dev in devices]
+    request = lkh_owner.make_request()
+    naive_owner.outstanding_nonce = lkh_owner.outstanding_nonce
+    honest = [dev.respond(request) for dev in devices]
+
+    def graft(a, b):
+        a, b = wire.decode(a), wire.decode(b)
+        return wire.ImResponseMsg(a.lkh_header, b.iv, b.sealed).encode()
+
+    size = len(honest[0])
+    payloads = [
+        *honest,
+        *previous,  # replays from the previous round
+        *(wire.ID_IM_RESPONSE + hrng.randbytes(size - 6) for _ in range(8)),
+        *(graft(hrng.choice(honest), hrng.choice(honest)) for _ in range(4)),
+        *(graft(hrng.choice(previous), hrng.choice(honest)) for _ in range(2)),
+        *(hrng.choice(honest)[: hrng.randrange(size)] for _ in range(4)),
+        request,
+        wire.RequestMsg(hrng.randbytes(12)).encode(),
+        hrng.randbytes(size),
+    ]
+    bound = (p - 1) * lkh_owner.tree.height
+    verdicts = []
+    for payload in payloads:
+        via_tree = lkh_owner.receive(payload)
+        via_scan = naive_owner.receive(payload)
+        assert _verdict(via_tree) == _verdict(via_scan)
+        if isinstance(via_scan, ImReceipt):
+            assert via_scan.trials == naive_owner.device_ids.index(via_scan.device_id) + 1
+            assert via_tree.prf_evals <= bound
+        verdicts.append(_verdict(via_scan))
+    assert [v[0] for v in verdicts[:n]] == naive_owner.device_ids
+    assert verdicts[n : 2 * n] == [ImDiscard.REPLAY] * n
+
+
 def test_receipt_counters(naive_fleet):
     owner, devices = naive_fleet
     owner.receive(devices[0].respond(owner.make_request()))
@@ -221,6 +278,55 @@ def test_key_table_binary_persistence(tmp_path, naive_fleet):
     broken = Owner(owner.keypair, Random(51))
     with pytest.raises(ValueError):
         broken.load_key_table(path)
+
+
+@pytest.mark.parametrize(
+    "bad_info",
+    [info(0), info(1), b"unit-too-short"],
+    ids=["repeated-in-batch", "repeated-last", "short-info"],
+)
+def test_failed_fleet_enrollment_changes_nothing(bad_info):
+    rng = Random(41)
+    owner = Owner(crypto.generate_keypair(rng), Random(42))
+    with pytest.raises(ValueError):
+        owner.enroll_lkh_fleet([info(0), info(1), bad_info], b"img", 2, Random(43))
+    assert owner.tree is None and owner.device_ids == [] and owner.key_table == {}
+    devices = owner.enroll_lkh_fleet([info(0), info(1), info(2)], b"img", 2, Random(43))
+    assert owner.tree.leaf_count == 3
+    assert owner.device_ids == [info(i)[:12] for i in range(3)]
+    request = owner.make_request()
+    assert all(isinstance(owner.receive(dev.respond(request)), ImReceipt) for dev in devices)
+
+
+def test_failed_naive_enrollment_changes_nothing(naive_fleet):
+    owner, _ = naive_fleet
+    ids, table = list(owner.device_ids), dict(owner.key_table)
+    rng = Random(44)
+    for bad_info in (info(3), b"unit-too-short"):
+        with pytest.raises(ValueError):
+            owner.enroll_naive(bad_info, b"inventory image", rng)
+        assert owner.device_ids == ids and owner.key_table == table
+    device = owner.enroll_naive(info(12), b"inventory image", rng)
+    assert owner.device_ids == [*ids, info(12)[:12]]
+    assert isinstance(owner.receive(device.respond(owner.make_request())), ImReceipt)
+
+
+def test_failed_key_table_load_changes_nothing(tmp_path, naive_fleet):
+    owner, devices = naive_fleet
+    path = tmp_path / "keys.bin"
+    owner.save_key_table(path)
+    record = 12 + 16
+    good = path.read_bytes()[: 3 * record]
+    path.write_bytes(good[: 2 * record] + good[:record])  # the first id again
+    restored = Owner(owner.keypair, Random(52))
+    with pytest.raises(ValueError, match="duplicate device id"):
+        restored.load_key_table(path)
+    assert restored.device_ids == [] and restored.key_table == {}
+    path.write_bytes(good)
+    restored.load_key_table(path)
+    assert restored.device_ids == owner.device_ids[:3]
+    result = restored.receive(devices[2].respond(restored.make_request()))
+    assert isinstance(result, ImReceipt) and result.trials == 3
 
 
 def test_respond_decodes_only_im_requests(naive_fleet, monkeypatch):

@@ -652,6 +652,17 @@ _BLEND = {"switch_threshold": 7, "window": 2.0, "push_period": 3.0, "announce_in
             for key in _BLEND
         ),
         pytest.param({"output": 5}, id="numeric-output"),
+        pytest.param({"link": {"manifest_fetch_delay": math.inf}}, id="infinite-fetch-delay"),
+        pytest.param({"link": {"latency_max": math.inf}}, id="infinite-latency-max"),
+        pytest.param({"link": {"latency_min": math.inf, "latency_max": math.inf}},
+                     id="infinite-latencies"),
+        *(
+            pytest.param({section: [{"name": "n", **extra, "domain": value}]},
+                         id=f"{section}-domain-{json.dumps(value)}")
+            for section, extra in (("devices", {}), ("users", {}),
+                                   ("adversaries", {"behavior": "flood"}))
+            for value in (math.nan, 5, None)
+        ),
     ],
 )
 def test_bad_config_rejected_at_load(overrides):
@@ -896,6 +907,8 @@ def _budgeted_heapq(budget: int):
 @example({"seed": 1, "horizon": 5.0, "devices": [{"name": "d0", "device_type": 5}]})
 @example({"seed": 1, "horizon": 5.0,
           "users": [{"name": "u0", "arrival": {"kind": "poisson", "interval": math.inf}}]})
+@example({"seed": 1, "horizon": 5.0, "link": {"manifest_fetch_delay": math.inf},
+          "devices": [{"name": "d0"}], "users": [{"name": "u0"}]})
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_random_config_runs_as_written_or_is_rejected(doc):
     try:
@@ -905,6 +918,13 @@ def test_random_config_runs_as_written_or_is_rejected(doc):
     with mock.patch.object(simnet, "heapq", _budgeted_heapq(100_000)):
         _, report = scenario.run_scenario(config)
     assert all(report.checks.values()), report.checks
+    # metrics.json must be RFC 8259 JSON: no NaN or Infinity tokens. (report.json
+    # echoes the config, so an infinite adversary stop legitimately appears there.)
+    json.loads(report.metrics.to_json(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def test_capture_frames_record_payloads():
