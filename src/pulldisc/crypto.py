@@ -13,6 +13,7 @@ import hmac as _hmac
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
+from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -134,6 +135,25 @@ def aead_open(key: bytes, iv: bytes, sealed: bytes, associated_data: bytes = b""
         return AESGCM(key).decrypt(iv, sealed, associated_data or None)
     except InvalidTag:
         raise AeadAuthenticationError("AEAD tag verification failed") from None
+
+
+def aead_open_first(
+    keys: Iterable[bytes], iv: bytes, sealed: bytes, associated_data: bytes = b""
+) -> tuple[int, bytes] | None:
+    """(position, plaintext) for the first of `keys` that opens `sealed`,
+    or None if none does.
+
+    The trial-decryption loop: one `AESGCM` per key, built inline and
+    dropped at once, so the scan holds no per-key state and a miss costs
+    no call or exception translation beyond the library's own.
+    """
+    ad = associated_data or None
+    for position, key in enumerate(keys):
+        try:
+            return position, AESGCM(key).decrypt(iv, sealed, ad)
+        except InvalidTag:
+            continue
+    return None
 
 
 def prf_eval(key: bytes, data: bytes) -> bytes:

@@ -15,6 +15,7 @@ import enum
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -59,7 +60,9 @@ class ImReceipt:
     device_id: bytes
     att_result: int
     device_info: bytes
-    trials: int  # naive tag checks (0 in tree mode)
+    # 1-based enrollment position of the opening key: the tag checks an
+    # enrollment-order scan makes (0 in tree mode).
+    trials: int
     prf_evals: int  # tree PRF evaluations (0 in naive mode)
 
 
@@ -132,6 +135,11 @@ class Owner:
         self.tree: keytree.KeyTree | None = None
         self.outstanding_nonce: bytes | None = None
         self.counters = Counters()
+        # The naive scan's order for the outstanding request (enrollment
+        # indices) and the keys in that order; see make_request.
+        self._scan_order: list[int] = []
+        self._scan_keys: list[bytes] = []
+        self._responders: set[int] = set()  # indices with a receipt since the last request
 
     # -- enrollment ---------------------------------------------------------
 
@@ -202,6 +210,14 @@ class Owner:
         signature = crypto.sign(self.keypair.private_key, wire.signed_region(unsigned))
         self.outstanding_nonce = nonce
         self.counters.requests += 1
+        # An owner solicits the same premises round after round, so the
+        # devices that answered the last request are scanned first; every
+        # other key follows, each part in enrollment order.
+        responders, self._responders = self._responders, set()
+        order = sorted(responders)
+        order += (i for i in range(len(self.device_ids)) if i not in responders)
+        keys = list(self.key_table.values())
+        self._scan_order, self._scan_keys = order, [keys[i] for i in order]
         return wire.ImRequestMsg(nonce, signature).encode()
 
     def receive(self, payload: bytes) -> ImReceipt | ImDiscard:
@@ -240,20 +256,29 @@ class Owner:
                 pass
 
         if plaintext is None:
-            # The table iterates in enrollment order (`_remember` is its one
-            # writer), so the scan's index is an index into `device_ids`.
+            # One scan in this request's order, last round's responders
+            # first. The order can change the verdict only for a payload
+            # that opens under two enrolled keys, and sealing one takes an
+            # adversary who holds both (AES-GCM is not key-committing); the
+            # tree walk above already returns its leaf without trying lower
+            # indices. `trials` stays the cost of the paper's
+            # enrollment-order scan, not the host's.
+            self._extend_scan_order()
             try:
-                index, trials = keytree.retrieve_naive(
-                    self.key_table.values(), message.iv, message.sealed, ad
+                position, _ = keytree.retrieve_naive(
+                    self._scan_keys, message.iv, message.sealed, ad
                 )
             except keytree.RetrievalError:
                 return ImDiscard.FORGED_OR_FOREIGN
-            # The scan returns only the index, so open the winner once more.
+            index = self._scan_order[position]
+            trials = index + 1
+            # The scan returns only the position, so open the winner once more.
             plaintext = self._open(index, message, ad)
 
         echoed = plaintext[: wire.NONCE_LEN]
         if echoed != self.outstanding_nonce:
             return ImDiscard.REPLAY
+        self._responders.add(index)
         att_result = plaintext[wire.NONCE_LEN]
         device_info = plaintext[wire.NONCE_LEN + 1 :]
         return ImReceipt(
@@ -263,6 +288,15 @@ class Owner:
             trials=trials,
             prf_evals=prf_evals,
         )
+
+    def _extend_scan_order(self) -> None:
+        """Append the keys enrolled since the order was built, so a device
+        enrolled mid-round is found too; `key_table` is in enrollment order
+        (`_remember` is its one writer)."""
+        built = len(self._scan_order)
+        if built < len(self.device_ids):
+            self._scan_order.extend(range(built, len(self.device_ids)))
+            self._scan_keys.extend(islice(self.key_table.values(), built, None))
 
     def _open(self, index: int, message: wire.ImResponseMsg, ad: bytes) -> bytes:
         """Plaintext of `message` under the key enrolled at `index`."""

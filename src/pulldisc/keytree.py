@@ -143,15 +143,10 @@ def retrieve_naive(
     keys: Iterable[bytes], iv: bytes, sealed: bytes, associated_data: bytes = b""
 ) -> tuple[int, int]:
     """Exhaustive trial decryption; returns (key index, trials used)."""
-    trials = 0
-    for index, key in enumerate(keys):
-        trials += 1
-        try:
-            crypto.aead_open(key, iv, sealed, associated_data)
-        except crypto.AeadAuthenticationError:
-            continue
-        return index, trials
-    raise RetrievalError(f"no key among {trials} verified the payload")
+    hit = crypto.aead_open_first(keys, iv, sealed, associated_data)
+    if hit is None:
+        raise RetrievalError("no key verified the payload")
+    return hit[0], hit[0] + 1
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,47 @@ def test_aead_distinct_ivs_distinct_ciphertexts():
     assert c1 != c2
 
 
+
+def _first_by_aead_open(keys, iv, sealed, ad):
+    for position, key in enumerate(keys):
+        try:
+            return position, crypto.aead_open(key, iv, sealed, ad)
+        except crypto.AeadAuthenticationError:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "miss", "empty"])
+def test_aead_open_first_matches_a_loop_of_aead_open(where):
+    rng = Random(f"open-first/{where}")
+    for _ in range(20):
+        n = 0 if where == "empty" else rng.randrange(1, 40)
+        keys = [rng.randbytes(16) for _ in range(n)]
+        iv, plaintext, ad = rng.randbytes(12), rng.randbytes(rng.randrange(120)), rng.randbytes(4)
+        target = {"first": 0, "middle": n // 2, "last": n - 1}.get(where)
+        key = keys[target] if target is not None else rng.randbytes(16)
+        sealed = crypto.aead_seal(key, iv, plaintext, ad)
+        expected = None if target is None else (target, plaintext)
+        assert _first_by_aead_open(keys, iv, sealed, ad) == expected
+        assert crypto.aead_open_first(keys, iv, sealed, ad) == expected
+
+
+@pytest.mark.parametrize(
+    "key_len, iv_len", [(15, 12), (0, 12), (16, 4), (16, 0)], ids=["key15", "key0", "iv4", "iv0"]
+)
+def test_aead_open_first_refuses_bad_lengths_as_aead_open_does(key_len, iv_len):
+    rng = Random(13)
+    good = rng.randbytes(16)
+    sealed = crypto.aead_seal(good, rng.randbytes(12), b"payload")
+    keys, iv = [rng.randbytes(key_len), good], rng.randbytes(iv_len)
+    with pytest.raises(ValueError) as by_open:
+        _first_by_aead_open(keys, iv, sealed, b"")
+    with pytest.raises(ValueError) as by_first:
+        crypto.aead_open_first(keys, iv, sealed)
+    assert type(by_first.value) is type(by_open.value) is ValueError
+    assert str(by_first.value) == str(by_open.value)
+
+
 def test_prf_eval():
     rng = Random(12)
     k1, k2 = rng.randbytes(16), rng.randbytes(16)

@@ -1,13 +1,14 @@
 """Inventory variant: authenticated requests, sealed uniform responses,
 and owner-side identification in both retrieval modes."""
 
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulldisc import crypto, wire
+from pulldisc import crypto, keytree, wire
 from pulldisc.inventory import (
     ImDiscard,
     ImReceipt,
@@ -246,6 +247,156 @@ def test_lkh_and_naive_owners_agree_on_any_payload(n, p, hrng):
         verdicts.append(_verdict(via_scan))
     assert [v[0] for v in verdicts[:n]] == naive_owner.device_ids
     assert verdicts[n : 2 * n] == [ImDiscard.REPLAY] * n
+
+
+def _graft(header_from, iv_from, sealed_from):
+    return wire.ImResponseMsg(
+        wire.decode(header_from).lkh_header, wire.decode(iv_from).iv, wire.decode(sealed_from).sealed
+    ).encode()
+
+
+@given(
+    st.booleans(),
+    st.integers(2, 16),
+    st.integers(2, 4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_scan_order_never_changes_a_verdict(tree, n, rounds, hrng):
+    """Multi-round sessions against a twin owner that never makes a
+    request, so it always scans in enrollment order."""
+    rng = Random(70)
+    owner = Owner(crypto.generate_keypair(rng), Random(71))
+    if tree:
+        devices = owner.enroll_lkh_fleet([info(i) for i in range(n)], b"img", 2, rng)
+    else:
+        devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(n)]
+    twin = Owner(owner.keypair, Random(72))
+    twin.device_ids, twin.key_table, twin.tree = owner.device_ids, owner.key_table, owner.tree
+    stranger = Owner(owner.keypair, Random(73)).enroll_naive(info(n + 1), b"img", rng)
+    late_round = hrng.randrange(rounds)
+    earlier, last = [], []
+    for r in range(rounds):
+        request = owner.make_request()
+        twin.outstanding_nonce = owner.outstanding_nonce
+        if r == late_round:  # enrolled after the request went out, and answers it
+            devices.append(owner.enroll_naive(info(n), b"img", rng))
+        responders = [i for i in range(len(devices)) if hrng.random() < 0.6]
+        honest = {devices[i].respond(request): i for i in responders}
+        foreign = stranger.respond(request)
+        pool = [*honest, *last, foreign]
+        payloads = [
+            *honest,
+            *last,  # replays of last round's responses
+            *hrng.sample(earlier, min(3, len(earlier))),
+            foreign,
+            *(wire.ID_IM_RESPONSE + hrng.randbytes(len(hrng.choice(pool)) - 6) for _ in range(3)),
+            *(_graft(*(hrng.choice(pool) for _ in range(3))) for _ in range(4)),
+            *(p[: hrng.randrange(len(p))] for p in (hrng.choice(pool) for _ in range(2))),
+        ]
+        hrng.shuffle(payloads)
+        verdicts = {}
+        for payload in payloads:
+            verdicts[payload] = owner.receive(payload)
+            assert verdicts[payload] == twin.receive(payload)
+        for payload, i in honest.items():
+            receipt = verdicts[payload]
+            assert isinstance(receipt, ImReceipt) and receipt.device_id == info(i)[:12]
+            assert receipt.trials == (0 if tree and i < n else i + 1)
+        assert all(verdicts[payload] is ImDiscard.REPLAY for payload in last)
+        earlier += last
+        last = list(honest)
+
+
+@pytest.fixture
+def scan_cost(monkeypatch):
+    """Host-side cost of owner scans: `retrieve_naive` calls, the trials
+    they make, and the AES-GCM contexts built. Reset with `.clear()`."""
+    cost = Counter()
+    retrieve, aesgcm = keytree.retrieve_naive, crypto.AESGCM
+
+    def counting_retrieve(keys, *args):
+        cost["calls"] += 1
+        try:
+            index, trials = retrieve(keys, *args)
+        except keytree.RetrievalError:
+            cost["trials"] += len(keys)
+            raise
+        cost["trials"] += trials
+        return index, trials
+
+    def counting_aesgcm(key):
+        cost["contexts"] += 1
+        return aesgcm(key)
+
+    monkeypatch.setattr(keytree, "retrieve_naive", counting_retrieve)
+    monkeypatch.setattr(crypto, "AESGCM", counting_aesgcm)
+    return cost
+
+
+@pytest.fixture
+def fleet_of_64():
+    rng = Random(80)
+    owner = Owner(crypto.generate_keypair(rng), Random(81))
+    devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(64)]
+    stranger = Owner(owner.keypair, Random(82)).enroll_naive(info(99), b"img", rng)
+    return owner, devices, stranger
+
+
+def test_last_rounds_responders_are_scanned_first(fleet_of_64, scan_cost):
+    owner, devices, _ = fleet_of_64
+    first = sorted(Random(83).sample(range(64), 8))
+    request = owner.make_request()
+    for i in first:
+        assert isinstance(owner.receive(devices[i].respond(request)), ImReceipt)
+    request = owner.make_request()
+    for i in reversed(first):
+        response = devices[i].respond(request)
+        scan_cost.clear()
+        receipt = owner.receive(response)
+        assert isinstance(receipt, ImReceipt) and receipt.device_id == info(i)[:12]
+        assert receipt.trials == i + 1  # the modeled enrollment-order cost
+        assert scan_cost["trials"] == first.index(i) + 1 <= len(first)
+        assert scan_cost["contexts"] == scan_cost["trials"] + 1  # one more open of the winner
+    newcomer = next(i for i in range(40, 64) if i not in first)
+    response = devices[newcomer].respond(request)
+    scan_cost.clear()
+    receipt = owner.receive(response)
+    assert receipt.device_id == info(newcomer)[:12] and receipt.trials == newcomer + 1
+    # After the responders, the rest in enrollment order.
+    assert scan_cost["trials"] == len(first) + sum(i not in first for i in range(newcomer)) + 1
+
+
+def test_a_payload_no_key_opens_costs_exactly_n_trials(fleet_of_64, scan_cost):
+    owner, devices, stranger = fleet_of_64
+    for _ in range(3):
+        request = owner.make_request()
+        for device in devices[::5]:
+            owner.receive(device.respond(request))
+        for payload in (stranger.respond(request), wire.ID_IM_RESPONSE + bytes(124)):
+            scan_cost.clear()
+            assert owner.receive(payload) is ImDiscard.FORGED_OR_FOREIGN
+            assert scan_cost == {"calls": 1, "trials": 64, "contexts": 64}
+
+
+@pytest.mark.parametrize("mode", ["naive", "lkh"])
+def test_each_response_makes_one_scan_at_most(mode, scan_cost):
+    rng = Random(84)
+    owner = Owner(crypto.generate_keypair(rng), Random(85))
+    if mode == "lkh":
+        devices = owner.enroll_lkh_fleet([info(i) for i in range(16)], b"img", 2, rng)
+    else:
+        devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(16)]
+    stale = []
+    for _ in range(3):
+        request = owner.make_request()
+        honest = [device.respond(request) for device in devices[::2]]
+        for payload in [*honest, *stale, wire.ID_IM_RESPONSE + rng.randbytes(len(honest[0]) - 6)]:
+            scan_cost.clear()
+            owner.receive(payload)
+            assert scan_cost["calls"] <= 1
+            assert scan_cost["trials"] <= len(devices)
+        stale = honest
 
 
 def test_receipt_counters(naive_fleet):
