@@ -19,6 +19,7 @@ from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
     decode_dss_signature,
     encode_dss_signature,
 )
@@ -107,9 +108,22 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     s = int.from_bytes(signature[32:], "big")
     if not (0 < r < GROUP_ORDER and 0 < s < GROUP_ORDER):
         return False
+    return _verify_digest(public_key, hashlib.sha256(message).digest(), signature)
+
+
+# Every receiver in a broadcast domain checks the same frame within a few
+# milliseconds, so a small bound catches the repeats and keeps memory flat.
+@lru_cache(maxsize=128)
+def _verify_digest(public_key: bytes, digest: bytes, signature: bytes) -> bool:
+    """Verdict for a range-checked signature over a message's SHA-256
+    digest. ECDSA-SHA256 reads the message only through that digest, so
+    the cache key is exact."""
+    r = int.from_bytes(signature[:32], "big")
+    s = int.from_bytes(signature[32:], "big")
     try:
-        pub = _public_obj(public_key)
-        pub.verify(encode_dss_signature(r, s), message, ec.ECDSA(hashes.SHA256()))
+        _public_obj(public_key).verify(
+            encode_dss_signature(r, s), digest, ec.ECDSA(Prehashed(hashes.SHA256()))
+        )
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -127,6 +127,7 @@ class World:
         self.link = link or LinkConfig()
         self.rng = Random(f"link/{seed}")
         self.nodes: dict[str, Node] = {}
+        self._domains: dict[str, list[Node]] = {}  # members of each domain, in joining order
         self._queue: list = []
         self._seq = itertools.count()
         self.now = 0.0
@@ -143,6 +144,7 @@ class World:
             raise ValueError(f"duplicate node name {node.name!r}")
         node.world = self
         self.nodes[node.name] = node
+        self._domains.setdefault(node.domain, []).append(node)
         self.metrics.per_node[node.name] = node.counters
         if self._started:  # joins a run in progress
             node.start(self.now)
@@ -184,14 +186,17 @@ class World:
         m.tx_frames += 1
         if self.capture_frames:
             self.captured.append((now, sender, frame))
-        for node in self.nodes.values():
-            if node is sender_node or node.domain != sender_node.domain:
+        link = self.link
+        p_loss, lo, hi = link.p_loss, link.latency_min, link.latency_max
+        random, push, queue, seq = self.rng.random, heapq.heappush, self._queue, self._seq
+        for node in self._domains[sender_node.domain]:
+            if node is sender_node:
                 continue
-            if self.link.p_loss > 0.0 and self.rng.random() < self.link.p_loss:
+            if p_loss > 0.0 and random() < p_loss:
                 self.metrics.frames_dropped += 1
                 continue
-            at = now + self.rng.uniform(self.link.latency_min, self.link.latency_max)
-            heapq.heappush(self._queue, (at, _PRIO_DELIVER, next(self._seq), node, frame))
+            # The same draw, and the same float, as rng.uniform(lo, hi).
+            push(queue, (now + (lo + (hi - lo) * random()), _PRIO_DELIVER, next(seq), node, frame))
 
     def retransmit(self, sender: str, payload: bytes, now: float) -> None:
         """Reliability schedule: rebroadcast every 30 ms, ten copies total."""
@@ -213,8 +218,9 @@ class World:
             self._started = True
             for node in self.nodes.values():
                 node.start(self.now)
-        while self._queue and self._queue[0][0] <= horizon:
-            time, _prio, _seq, node, detail = heapq.heappop(self._queue)
+        queue, pop = self._queue, heapq.heappop
+        while queue and queue[0][0] <= horizon:
+            time, _prio, _seq, node, detail = pop(queue)
             assert time >= self.now, "event queue went backwards"
             self.now = time
             if node is None:

@@ -3,6 +3,12 @@
 from random import Random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulldisc import crypto
 
@@ -66,6 +72,97 @@ def test_verify_rejects_malformed_point(keypair):
     sig = crypto.sign(keypair.private_key, b"m")
     assert not crypto.verify(b"\x04" + bytes(64), b"m", sig)
     assert not crypto.verify(b"", b"m", sig)
+
+
+def _verify_uncached(public_key, message, signature):
+    """Reference verdict: checks the whole message, keeps nothing."""
+    if len(signature) != crypto.SIGNATURE_LEN:
+        return False
+    r = int.from_bytes(signature[:32], "big")
+    s = int.from_bytes(signature[32:], "big")
+    if not (0 < r < crypto.GROUP_ORDER and 0 < s < crypto.GROUP_ORDER):
+        return False
+    try:
+        pub = ec.EllipticCurvePublicKey.from_encoded_point(crypto.CURVE, public_key)
+        pub.verify(encode_dss_signature(r, s), message, ec.ECDSA(hashes.SHA256()))
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+_KEYS = [crypto.generate_keypair(Random(f"verify-cache/{i}")) for i in range(3)]
+_ORDER = crypto.GROUP_ORDER.to_bytes(32, "big")
+_ONE = (1).to_bytes(32, "big")
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    bit %= 8 * len(data)
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+# Each case turns (key index, message, signature, bit) into verify's arguments.
+_CASES = {
+    "valid": lambda k, m, sig, bit: (_KEYS[k].public_key, m, sig),
+    "message-bit": lambda k, m, sig, bit: (_KEYS[k].public_key, _flip(m, bit), sig),
+    "signature-bit": lambda k, m, sig, bit: (_KEYS[k].public_key, m, _flip(sig, bit)),
+    "wrong-key": lambda k, m, sig, bit: (_KEYS[(k + 1) % len(_KEYS)].public_key, m, sig),
+    "malformed-point": lambda k, m, sig, bit: (b"\x04" + bytes(64), m, sig),
+    "truncated-point": lambda k, m, sig, bit: (_KEYS[k].public_key[:33], m, sig),
+    "r-zero": lambda k, m, sig, bit: (_KEYS[k].public_key, m, bytes(32) + sig[32:]),
+    "s-zero": lambda k, m, sig, bit: (_KEYS[k].public_key, m, sig[:32] + bytes(32)),
+    "r-order": lambda k, m, sig, bit: (_KEYS[k].public_key, m, _ORDER + sig[32:]),
+    "s-order": lambda k, m, sig, bit: (_KEYS[k].public_key, m, sig[:32] + _ORDER),
+    "r-s-one": lambda k, m, sig, bit: (_KEYS[k].public_key, m, _ONE + _ONE),
+    "short-signature": lambda k, m, sig, bit: (_KEYS[k].public_key, m, sig[:63]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(sorted(_CASES)),
+    k=st.integers(0, len(_KEYS) - 1),
+    message=st.binary(min_size=1, max_size=300),
+    bit=st.integers(0, 8 * 300),
+    repeat=st.integers(1, 3),
+)
+def test_verify_matches_an_uncached_reference(case, k, message, bit, repeat):
+    args = _CASES[case](k, message, crypto.sign(_KEYS[k].private_key, message), bit)
+    expected = _verify_uncached(*args)
+    assert expected == (case == "valid")
+    for _ in range(repeat):  # the first call may fill the cache, the rest read it
+        assert crypto.verify(*args) == expected
+
+
+def test_cached_verdict_answers_only_its_own_triple():
+    key, other = _KEYS[0], _KEYS[1]
+    message = b"cached once"
+    sig = crypto.sign(key.private_key, message)
+    assert crypto.verify(key.public_key, message, sig)
+    hits = crypto._verify_digest.cache_info().hits
+    assert crypto.verify(key.public_key, message, sig)
+    assert crypto._verify_digest.cache_info().hits == hits + 1
+    assert not crypto.verify(key.public_key, message + b"\x00", sig)
+    assert not crypto.verify(key.public_key, _flip(message, 3), sig)
+    assert not crypto.verify(other.public_key, message, sig)
+    assert crypto.verify(key.public_key, message, sig)
+
+
+def test_verdict_cache_stays_bounded_and_recomputes_evicted_verdicts():
+    maxsize = crypto._verify_digest.cache_info().maxsize
+    assert maxsize <= 256
+    key = _KEYS[2]
+    good = (key.public_key, b"evicted good", crypto.sign(key.private_key, b"evicted good"))
+    bad = (key.public_key, b"evicted bad", crypto.sign(key.private_key, b"something else"))
+    assert crypto.verify(*good) and not crypto.verify(*bad)
+    sig = crypto.sign(key.private_key, b"filler")
+    for i in range(10 * maxsize):
+        assert not crypto.verify(key.public_key, i.to_bytes(4, "big"), sig)
+        assert crypto._verify_digest.cache_info().currsize <= maxsize
+    misses = crypto._verify_digest.cache_info().misses
+    assert crypto.verify(*good) and not crypto.verify(*bad)
+    assert crypto._verify_digest.cache_info().misses == misses + 2
 
 
 def test_bad_private_scalar_raises():

@@ -433,6 +433,21 @@ def test_flood_adversary_bounded_response_rate():
     assert dev.counters.responses > 0
 
 
+def test_response_times_stay_bounded_under_a_long_flood():
+    config = _hotel_config(
+        horizon=600.0,
+        devices=[{"name": "dev0", "t_gen": 0.05, "t_att": 300.0}],
+        users=[],
+        adversaries=[{"name": "adv", "behavior": "flood", "rate": 10.0, "stop": 600.0}],
+    )
+    built, _ = scenario.run_scenario(config)
+    counters = built.device_nodes[0].device.counters
+    assert counters.responses > device_mod.RESPONSE_TIMES_MAXLEN
+    assert len(counters.response_times) == device_mod.RESPONSE_TIMES_MAXLEN
+    times = list(counters.response_times)
+    assert times == sorted(times) and times[-1] > 599.0  # the latest are the ones kept
+
+
 def test_replay_adversary_classified_stale():
     config = _hotel_config(
         horizon=120.0,
