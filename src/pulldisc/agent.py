@@ -84,6 +84,8 @@ class _Seen:
 class UserAgent:
     """One logical user; verification is pure, agents are independent."""
 
+    hears = frozenset({wire.ID_RESPONSE, wire.ID_ANNOUNCE})  # the frame kinds it checks
+
     def __init__(
         self,
         trust_keys: tuple[bytes, ...],

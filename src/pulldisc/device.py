@@ -212,6 +212,11 @@ class Device:
 
     # -- event handlers ----------------------------------------------------
 
+    @property
+    def hears(self) -> frozenset[bytes]:
+        """The frame kinds `on_frame` acts on: requests, none in push mode."""
+        return frozenset() if self.mode is Mode.PUSH else frozenset({wire.ID_REQUEST})
+
     def on_frame(self, payload: bytes, now: float) -> list[Action]:
         """Handle a received frame; anything but a request is ignored."""
         if self.mode is Mode.PUSH:

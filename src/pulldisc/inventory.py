@@ -69,6 +69,8 @@ class ImReceipt:
 class ImDevice:
     """Inventory-mode device: verify, attest, seal, reply."""
 
+    hears = frozenset({wire.ID_IM_REQUEST})  # the frame kind `respond` answers
+
     def __init__(
         self,
         record: ImProvisioningRecord,
@@ -126,6 +128,8 @@ def _associated_data(header: Sequence[bytes]) -> bytes:
 
 class Owner:
     """The single authorized solicitor for an inventory fleet."""
+
+    hears = frozenset({wire.ID_IM_RESPONSE})  # the frame kind `receive` opens
 
     def __init__(self, keypair: crypto.KeyPair, rng: Random):
         self.keypair = keypair

@@ -4,6 +4,16 @@ Stands in for the extended-advertisement radio: every node shares one
 broadcast domain (multiple domains are configurable), frames arrive after
 a small random latency and are lost independently with a configurable
 probability. A queued event is either a frame delivery or a call.
+
+Each node hears only the frame kinds (6-byte payload prefixes) its
+protocol component declares in `hears`; a component that declares nothing
+hears every frame. A frame is queued as a delivery only to nodes that hear
+its kind. Every other receiver still draws its loss and latency, in the
+same order, and counts the frame in its rx counters without an event: at
+send time when it arrives within the running horizon, otherwise from a
+short deferred list that the next `run_until` settles. So rx counters and
+all outputs are those of delivering every frame to every node.
+
 Event ordering is total and deterministic: (time, priority, sequence),
 with deliveries processed first at equal timestamps, then device timers
 in `TimerKind` order, then every other call. Two runs with the same seed
@@ -102,6 +112,9 @@ class Metrics:
 class Node:
     """Base class: a named participant in one broadcast domain."""
 
+    # The frame kinds `handle_deliver` acts on; None hears every frame.
+    hears: frozenset[bytes] | None = None
+
     def __init__(self, name: str, domain: str = "default"):
         # Broadcast compares domains for equality: a NaN one would match none.
         if not isinstance(domain, str):
@@ -136,6 +149,14 @@ class World:
         self.captured: list[tuple[float, str, Frame]] = []
         self._static_addr: dict[str, bytes] = {}
         self._started = False
+        # Horizon of the run in progress; outside a run nothing is due yet.
+        self._horizon = -math.inf
+        # (arrival, counters, size) of unheard frames due after that horizon.
+        self._deferred: list[tuple[float, device_mod.Counters, int]] = []
+
+    # The reference path, for tests only: queue every unheard frame as an
+    # event that counts it on arrival, as before receivers had `hears`.
+    _queue_unheard = False
 
     # -- topology ------------------------------------------------------------
 
@@ -172,7 +193,12 @@ class World:
         return self._static_addr[sender], bytes(16)
 
     def broadcast(self, sender: str, payload: bytes, now: float, wire_size: int | None = None) -> None:
-        """Deliver to every other node in the sender's domain, minus losses."""
+        """Deliver to every other node in the sender's domain, minus losses.
+
+        Each receiver draws loss, then latency. A receiver that does not
+        hear the payload's kind gets no event: the frame is counted in its
+        rx now if it arrives within the running horizon, and is otherwise
+        deferred to the `run_until` whose horizon it falls within."""
         if len(payload) > wire.MAX_PAYLOAD:
             raise wire.CapacityError(
                 f"payload of {len(payload)} bytes exceeds the {wire.MAX_PAYLOAD}-byte budget"
@@ -187,8 +213,9 @@ class World:
         if self.capture_frames:
             self.captured.append((now, sender, frame))
         link = self.link
-        p_loss, lo, hi = link.p_loss, link.latency_min, link.latency_max
+        p_loss, lo, span = link.p_loss, link.latency_min, link.latency_max - link.latency_min
         random, push, queue, seq = self.rng.random, heapq.heappush, self._queue, self._seq
+        kind, horizon, queue_unheard = bytes(payload[:6]), self._horizon, self._queue_unheard
         for node in self._domains[sender_node.domain]:
             if node is sender_node:
                 continue
@@ -196,7 +223,18 @@ class World:
                 self.metrics.frames_dropped += 1
                 continue
             # The same draw, and the same float, as rng.uniform(lo, hi).
-            push(queue, (now + (lo + (hi - lo) * random()), _PRIO_DELIVER, next(seq), node, frame))
+            at = now + (lo + span * random())
+            hears = node.hears
+            if hears is None or kind in hears:
+                push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
+            elif queue_unheard:
+                self.schedule_action(at, partial(_count_rx, node.counters, size), _PRIO_DELIVER)
+            elif at <= horizon:
+                m = node.counters
+                m.rx_bytes += size
+                m.rx_frames += 1
+            else:
+                self._deferred.append((at, node.counters, size))
 
     def retransmit(self, sender: str, payload: bytes, now: float) -> None:
         """Reliability schedule: rebroadcast every 30 ms, ten copies total."""
@@ -218,6 +256,9 @@ class World:
             self._started = True
             for node in self.nodes.values():
                 node.start(self.now)
+        if self._deferred:
+            self._settle_deferred(horizon)
+        self._horizon = horizon
         queue, pop = self._queue, heapq.heappop
         while queue and queue[0][0] <= horizon:
             time, _prio, _seq, node, detail = pop(queue)
@@ -230,9 +271,26 @@ class World:
                 m.rx_bytes += detail.wire_size
                 m.rx_frames += 1
                 node.handle_deliver(detail, time)
+        self._horizon = -math.inf
         self.now = horizon
         self.metrics.horizon = horizon
         return self.metrics
+
+    def _settle_deferred(self, horizon: float) -> None:
+        """Count the deferred frames that arrive by `horizon`; keep the rest."""
+        due_later = []
+        for at, counters, size in self._deferred:
+            if at <= horizon:
+                _count_rx(counters, size)
+            else:
+                due_later.append((at, counters, size))
+        self._deferred = due_later
+
+
+def _count_rx(counters: device_mod.Counters, size: int, now: float | None = None) -> None:
+    """One received frame of `size` bytes; `now` lets the reference path queue it."""
+    counters.rx_bytes += size
+    counters.rx_frames += 1
 
 
 # -- standard node wrappers ----------------------------------------------------
@@ -245,6 +303,7 @@ class DeviceNode(Node):
         super().__init__(name, domain)
         self.device = device
         self.counters = device.counters
+        self.hears = getattr(device, "hears", None)
 
     def start(self, now: float) -> None:
         self._apply(self.device.boot(now), now)
@@ -314,6 +373,7 @@ class AgentNode(Node):
     ):
         super().__init__(name, domain)
         self.agent = user_agent
+        self.hears = getattr(user_agent, "hears", None)
         self.arrivals = arrivals
         self.pending: dict[bytes, agent_mod.PendingRequest] = {}
         self.sent_nonces: list[bytes] = []
@@ -356,11 +416,9 @@ class AgentNode(Node):
     def handle_deliver(self, frame: Frame, now: float) -> None:
         """Credit a response to each pending request it pools and an
         announcement to the oldest pending request; a payload already
-        reported for a request is skipped."""
+        reported for a request is skipped. The agent hears no other kind."""
         payload = frame.payload
         is_response = payload.startswith(wire.ID_RESPONSE)
-        if not (is_response or payload.startswith(wire.ID_ANNOUNCE)):
-            return
         self._expire(now)
         if not self.pending:
             return
@@ -403,6 +461,7 @@ class ImDeviceNode(Node):
         super().__init__(name, domain)
         self.device = device
         self.counters = device.counters
+        self.hears = getattr(device, "hears", None)
         self.t_res = t_res
         self._busy_until = 0.0
 
@@ -430,6 +489,7 @@ class OwnerNode(Node):
         super().__init__(name, domain)
         self.owner = owner
         self.counters = owner.counters
+        self.hears = getattr(owner, "hears", None)
         self.round_times = round_times
         self.receipts = []
         self.rejects = owner.counters.rejects
@@ -442,8 +502,6 @@ class OwnerNode(Node):
         self.world.broadcast(self.name, self.owner.make_request(), now)
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
-        if not frame.payload.startswith(wire.ID_IM_RESPONSE):
-            return
         result = self.owner.receive(frame.payload)
         if isinstance(result, ImReceipt):
             self.receipts.append((now, result))

@@ -861,9 +861,10 @@ _KEYS = {
 
 
 @st.composite
-def _scenario_docs(draw):
-    """A runnable doc drawn from the common values, then up to four edits,
-    each deleting one key of one section or setting it to an edge value."""
+def _scenario_docs(draw, max_edits=4, min_nodes=0):
+    """A runnable doc drawn from the common values, with at least `min_nodes`
+    devices and users, then up to `max_edits` edits, each deleting one key
+    of one section or setting it to an edge value."""
     sections = []
 
     def section(kind, out=None, always=()):
@@ -879,7 +880,7 @@ def _scenario_docs(draw):
     doc = section("scenario", always=("seed", "horizon"))
     doc["link"] = section("link")
     doc["devices"] = []
-    for i in range(draw(st.integers(0, 2))):
+    for i in range(draw(st.integers(min_nodes, 2))):
         mode = draw(st.sampled_from(["pull", "push", "blend", _OMIT]))
         dev = {"name": f"d{i}"} if mode is _OMIT else {"name": f"d{i}", "mode": mode}
         if mode == "push":
@@ -889,13 +890,13 @@ def _scenario_docs(draw):
         doc["devices"].append(section("device", dev))
     doc["users"] = [
         section("user", {"name": f"u{i}", "arrival": section("arrival", always=("kind",))})
-        for i in range(draw(st.integers(0, 2)))
+        for i in range(draw(st.integers(min_nodes, 2)))
     ]
     doc["adversaries"] = [
         section("adversary", {"name": f"a{i}"}, always=("behavior", "rate"))
         for i in range(draw(st.integers(0, 1)))
     ]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_edits))):
         kind, target = draw(st.sampled_from(sections))
         key = draw(st.sampled_from(sorted(_KEYS[kind])))
         value = draw(st.sampled_from([*_KEYS[kind][key][1], *_ODD, _OMIT]))
@@ -967,3 +968,123 @@ def test_broadcast_domains_partition_the_medium():
     assert report.metrics.per_node["near"].signatures > 0
     assert report.metrics.per_node["far"].signatures == 0  # out of range
     assert report.metrics.per_node["far"].rx_frames == 0
+
+
+# -- interest filter: a node hears only the frame kinds it handles ------------
+
+
+def _both_ways(run):
+    """`run()` as built, then on the reference path that queues every
+    unheard frame as an event counting it on arrival."""
+    fast = run()
+    with mock.patch.object(simnet.World, "_queue_unheard", True):
+        reference = run()
+    return fast, reference
+
+
+@given(_scenario_docs(max_edits=0, min_nodes=1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_interest_filter_matches_queueing_every_frame(doc):
+    config = scenario.ScenarioConfig.from_dict(doc)
+
+    def run():
+        built, report = scenario.run_scenario(config)
+        users = [
+            ([r.to_json_fields() for r in node.reports], node.latencies, node.discards)
+            for node in built.agent_nodes
+        ]
+        return report.metrics.to_json(), report.to_json(), users
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+
+
+def test_interest_filter_matches_queueing_every_frame_in_inventory():
+    def run():
+        rng = Random(21)
+        owner = Owner(crypto.generate_keypair(rng), Random(22))
+        infos = [build_device_info(f"unit-{i:07d}".encode(), 1, 1) for i in range(16)]
+        fleet = owner.enroll_lkh_fleet(infos, b"inventory image", 2, rng)
+        world = simnet.World(seed=23, link=simnet.LinkConfig(p_loss=0.05))
+        owner_node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 2.5, 4.0]))
+        for i, device in enumerate(fleet):
+            world.add_node(simnet.ImDeviceNode(f"d{i}", device))
+        world.add_node(simnet.AdversaryNode(
+            "replayer", "replay", Random(24), record_until=1.6, replay_at=[3.3]))
+        world.add_node(simnet.AdversaryNode("forger", "forge_request", Random(25), rate=2.0))
+        metrics = world.run_until(6.0)
+        rx = {name: (m.rx_bytes, m.rx_frames) for name, m in metrics.per_node.items()}
+        return owner_node.receipts, dict(owner_node.rejects), rx, metrics.to_json()
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+    receipts, rejects, rx, _ = fast
+    assert receipts and rejects.get("replay")  # the replayer's copies were heard and refused
+    assert all(frames > 0 for _, frames in rx.values())
+
+
+class _Deaf(Sink):
+    """A sink that hears requests only."""
+
+    hears = frozenset({wire.ID_REQUEST})
+
+
+def _in_flight_world():
+    """A response broadcast at t = 1.0 to a node that does not hear
+    responses; every frame takes 0.5 s."""
+    world = simnet.World(seed=1, link=simnet.LinkConfig(latency_min=0.5, latency_max=0.5))
+    world.add_node(Sink("tx"))
+    deaf = world.add_node(_Deaf("rx"))
+    world.schedule_action(1.0, functools.partial(world.broadcast, "tx", wire.ID_RESPONSE + bytes(8)))
+    return world, deaf
+
+
+@pytest.mark.parametrize("queue_unheard", [False, True], ids=["filtered", "reference"])
+def test_unheard_frame_in_flight_at_the_horizon_counts_in_the_next_run(queue_unheard):
+    with mock.patch.object(simnet.World, "_queue_unheard", queue_unheard):
+        world, deaf = _in_flight_world()
+        for horizon in (1.2, 1.4):  # due at 1.5; a run that ended here never counts it
+            world.run_until(horizon)
+            assert (deaf.counters.rx_frames, deaf.counters.rx_bytes) == (0, 0)
+            assert len(world._deferred) == (0 if queue_unheard else 1)
+        world.run_until(2.0)
+    assert (deaf.counters.rx_frames, deaf.counters.rx_bytes) == (1, 14)
+    assert deaf.received == [] and world._deferred == []
+
+
+def test_unheard_frame_due_at_the_horizon_counts_in_that_run_only_if_sent_within_it():
+    world = simnet.World(seed=1, link=simnet.LinkConfig(latency_min=0.0, latency_max=0.0))
+    world.add_node(Sink("tx"))
+    deaf = world.add_node(_Deaf("rx"))
+    world.schedule_action(1.0, functools.partial(world.broadcast, "tx", wire.ID_RESPONSE))
+    world.run_until(1.0)
+    assert deaf.counters.rx_frames == 1
+    world.broadcast("tx", wire.ID_RESPONSE, 1.0)  # between runs: waits like a queued delivery
+    assert deaf.counters.rx_frames == 1
+    world.run_until(1.0)
+    assert deaf.counters.rx_frames == 2
+
+
+@functools.cache
+def _hotel_send_times() -> tuple[float, ...]:
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "hotel.json").read_text())
+    built, _ = scenario.run_scenario(scenario.ScenarioConfig.from_dict(doc), capture_frames=True)
+    return tuple(sent for sent, _, _ in built.world.captured)
+
+
+@given(st.lists(st.tuples(st.integers(0), st.floats(0.0, 0.01)), min_size=1, max_size=4))
+@settings(max_examples=10, deadline=None)
+def test_split_while_frames_are_in_flight_defers_only_those_frames(cuts):
+    # Each horizon falls within 10 ms (the latency bound) after a broadcast.
+    sent = _hotel_send_times()
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "hotel.json").read_text())
+    built = scenario.build_world(scenario.ScenarioConfig.from_dict(doc))
+    world = built.world
+    for horizon in sorted(sent[i % len(sent)] + dt for i, dt in cuts):
+        world.run_until(horizon)
+        bound = horizon + world.link.latency_max + 1e-9
+        assert all(horizon < at <= bound for at, _, _ in world._deferred)
+    metrics = world.run_until(doc["horizon"])
+    for node in built.agent_nodes:
+        metrics.latencies[node.name] = node.latencies
+    assert metrics.to_json() == _hotel_metrics_json()
