@@ -39,6 +39,8 @@ def _resolve_config(path: str) -> Path:
 
 
 def _cmd_provision(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     rng = Random(args.seed)
     mfr = crypto.generate_keypair(rng)
     store = registration.ManifestStore()
@@ -209,20 +211,16 @@ def _cmd_im_solicit(args) -> int:
 
 
 def _cmd_wire_decode(args) -> int:
-    if args.hex:
-        try:
-            data = bytes.fromhex(args.hex)
-        except ValueError:
-            print("error: not valid hex", file=sys.stderr)
-            return 2
-    else:
-        data = Path(args.file).read_bytes()
+    try:
+        data = bytes.fromhex(args.hex) if args.hex is not None else Path(args.file).read_bytes()
+    except ValueError:
+        raise ValueError("not valid hex") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
     try:
         message = wire.decode(data)
-    except wire.WireError as exc:
-        offset = getattr(exc, "offset", None)
-        where = f" at byte {offset}" if offset is not None else ""
-        print(f"error: {exc.args[0] if exc.args else exc}{where}", file=sys.stderr)
+    except wire.WireError as exc:  # its message names the offset, if any
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"kind: {type(message).__name__}")
     print(f"length: {len(data)}")

@@ -173,8 +173,3 @@ def aead_open_first(
 def prf_eval(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 truncated to 16 bytes."""
     return _hmac.new(key, data, hashlib.sha256).digest()[:PRF_OUTPUT_LEN]
-
-
-def random_bytes(rng: Random, length: int) -> bytes:
-    """Length bytes from a seeded generator; same seed, same stream."""
-    return rng.randbytes(length)

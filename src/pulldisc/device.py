@@ -244,9 +244,10 @@ class Device:
             actions.append(SetTimer(TimerKind.GEN_DEADLINE, self.gen_deadline))
         return actions
 
-    def on_timer(self, kind: TimerKind, scheduled: float, now: float) -> list[Action]:
+    def on_timer(self, kind: TimerKind, at: float) -> list[Action]:
+        """Fire the `kind` timer that was set for time `at`, at that time."""
         if kind is TimerKind.GEN_DEADLINE:
-            if self.gen_deadline != scheduled:
+            if self.gen_deadline != at:
                 return []  # superseded (pool filled early, or already drained)
             self.gen_deadline = None
             if self.in_gen:
@@ -254,21 +255,21 @@ class Device:
                 # as soon as the radio frees up.
                 self.pending_gen = True
                 return []
-            return self._enter_gen(now)
+            return self._enter_gen(at)
 
         if kind is TimerKind.ATTEST:
-            actions: list[Action] = [SetTimer(TimerKind.ATTEST, scheduled + self.provisioning.t_att)]
+            actions: list[Action] = [SetTimer(TimerKind.ATTEST, at + self.provisioning.t_att)]
             if self.in_gen:
                 self.pending_att = True  # suppressed until generation ends
             else:
-                self._attest(now)
+                self._attest(at)
             return actions
 
         if kind is TimerKind.GEN_COMPLETE:
-            return self._complete_gen(now)
+            return self._complete_gen(at)
 
         if kind is TimerKind.ANNOUNCE:
-            return self._announce_tick(scheduled, now)
+            return self._announce_tick(at)
 
         raise ValueError(f"unknown timer kind {kind}")
 
@@ -354,24 +355,24 @@ class Device:
             actions.append(SetTimer(TimerKind.GEN_DEADLINE, self.gen_deadline))
         return actions
 
-    def _announce_tick(self, scheduled: float, now: float) -> list[Action]:
-        if scheduled != self._next_announce_at:
+    def _announce_tick(self, at: float) -> list[Action]:
+        if at != self._next_announce_at:
             return []  # leftover tick from a superseded chain
         if self.mode is Mode.BLEND:
-            if self.push_until is None or now >= self.push_until:
+            if self.push_until is None or at >= self.push_until:
                 self.push_until = None  # revert to pull behavior
                 self._next_announce_at = None
                 return []
             interval = self.blend.announce_interval
         else:
             interval = self.announce_interval
-        self._next_announce_at = scheduled + interval
+        self._next_announce_at = at + interval
         actions: list[Action] = [SetTimer(TimerKind.ANNOUNCE, self._next_announce_at)]
         if self.in_gen:
             return actions  # response generation takes precedence
-        payload = self._generate_announcement(now).encode()
+        payload = self._generate_announcement(at).encode()
         self.counters.announcements += 1
-        actions.append(self._occupy(Transmit(payload, self.announce_wire_size, retransmit=False), now))
+        actions.append(self._occupy(Transmit(payload, self.announce_wire_size, retransmit=False), at))
         return actions
 
     # -- blend and flood handling -------------------------------------------

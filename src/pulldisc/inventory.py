@@ -91,8 +91,8 @@ class ImDevice:
 
     def respond(self, payload: bytes) -> bytes | None:
         """Handle one frame; returns an encoded response or None (silent drop)."""
-        # Devices hear each other's sealed responses: drop anything that
-        # cannot be a request before paying for a decode.
+        # A direct caller may pass any frame: drop anything that cannot be
+        # a request before paying for a decode.
         if len(payload) != wire.IM_REQUEST_LEN or not payload.startswith(wire.ID_IM_REQUEST):
             return None
         try:

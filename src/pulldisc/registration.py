@@ -285,7 +285,7 @@ def provision_im_device(
     """Inventory-mode provisioning: fresh shared key, no manifest or URL."""
     return ImProvisioningRecord(
         owner_public_key=owner_public_key,
-        shared_key=crypto.random_bytes(rng, crypto.SYMMETRIC_KEY_LEN),
+        shared_key=rng.randbytes(crypto.SYMMETRIC_KEY_LEN),
         software_hash=crypto.hash_image(software_image),
     )
 

@@ -165,11 +165,10 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"scenario file {path} does not exist")
         try:
-            doc = json.loads(path.read_text("utf-8"))
+            doc = json.loads(Path(path).read_text("utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(doc)

@@ -9,10 +9,10 @@ Each node hears only the frame kinds (6-byte payload prefixes) its
 protocol component declares in `hears`; a component that declares nothing
 hears every frame. A frame is queued as a delivery only to nodes that hear
 its kind. Every other receiver still draws its loss and latency, in the
-same order, and counts the frame in its rx counters without an event: at
-send time when it arrives within the running horizon, otherwise from a
-short deferred list that the next `run_until` settles. So rx counters and
-all outputs are those of delivering every frame to every node.
+same order, and counts the frame in its rx counters: at send time when it
+arrives within the running horizon, otherwise through a queued event that
+counts it on arrival. So rx counters and all outputs are those of
+delivering every frame to every node.
 
 Event ordering is total and deterministic: (time, priority, sequence),
 with deliveries processed first at equal timestamps, then device timers
@@ -151,11 +151,9 @@ class World:
         self._started = False
         # Horizon of the run in progress; outside a run nothing is due yet.
         self._horizon = -math.inf
-        # (arrival, counters, size) of unheard frames due after that horizon.
-        self._deferred: list[tuple[float, device_mod.Counters, int]] = []
 
     # The reference path, for tests only: queue every unheard frame as an
-    # event that counts it on arrival, as before receivers had `hears`.
+    # event that counts it on arrival, even one due within the horizon.
     _queue_unheard = False
 
     # -- topology ------------------------------------------------------------
@@ -196,9 +194,9 @@ class World:
         """Deliver to every other node in the sender's domain, minus losses.
 
         Each receiver draws loss, then latency. A receiver that does not
-        hear the payload's kind gets no event: the frame is counted in its
-        rx now if it arrives within the running horizon, and is otherwise
-        deferred to the `run_until` whose horizon it falls within."""
+        hear the payload's kind gets no delivery: the frame is counted in
+        its rx now if it arrives within the running horizon, and otherwise
+        by a `_count_rx` event queued for its arrival."""
         if len(payload) > wire.MAX_PAYLOAD:
             raise wire.CapacityError(
                 f"payload of {len(payload)} bytes exceeds the {wire.MAX_PAYLOAD}-byte budget"
@@ -227,14 +225,12 @@ class World:
             hears = node.hears
             if hears is None or kind in hears:
                 push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
-            elif queue_unheard:
-                self.schedule_action(at, partial(_count_rx, node.counters, size), _PRIO_DELIVER)
-            elif at <= horizon:
+            elif at <= horizon and not queue_unheard:
                 m = node.counters
                 m.rx_bytes += size
                 m.rx_frames += 1
             else:
-                self._deferred.append((at, node.counters, size))
+                push(queue, (at, _PRIO_DELIVER, next(seq), None, partial(_count_rx, node.counters, size)))
 
     def retransmit(self, sender: str, payload: bytes, now: float) -> None:
         """Reliability schedule: rebroadcast every 30 ms, ten copies total."""
@@ -256,8 +252,6 @@ class World:
             self._started = True
             for node in self.nodes.values():
                 node.start(self.now)
-        if self._deferred:
-            self._settle_deferred(horizon)
         self._horizon = horizon
         queue, pop = self._queue, heapq.heappop
         while queue and queue[0][0] <= horizon:
@@ -276,19 +270,9 @@ class World:
         self.metrics.horizon = horizon
         return self.metrics
 
-    def _settle_deferred(self, horizon: float) -> None:
-        """Count the deferred frames that arrive by `horizon`; keep the rest."""
-        due_later = []
-        for at, counters, size in self._deferred:
-            if at <= horizon:
-                _count_rx(counters, size)
-            else:
-                due_later.append((at, counters, size))
-        self._deferred = due_later
-
 
 def _count_rx(counters: device_mod.Counters, size: int, now: float | None = None) -> None:
-    """One received frame of `size` bytes; `now` lets the reference path queue it."""
+    """One received frame of `size` bytes; `now` lets it ride the event queue."""
     counters.rx_bytes += size
     counters.rx_frames += 1
 
@@ -312,7 +296,7 @@ class DeviceNode(Node):
         self._apply(self.device.on_frame(frame.payload, now), now)
 
     def _timer(self, kind: device_mod.TimerKind, now: float) -> None:
-        self._apply(self.device.on_timer(kind, now, now), now)
+        self._apply(self.device.on_timer(kind, now), now)
 
     def _apply(self, actions, now: float) -> None:
         for action in actions:
@@ -532,6 +516,8 @@ class AdversaryNode(Node):
         if not 0 < rate < math.inf:
             raise ValueError(f"adversary rate must be positive and finite, got {rate!r}")
         self.behavior = behavior
+        if behavior != "replay":
+            self.hears = frozenset()  # only a replayer uses what it receives
         self.rng = rng
         self.rate = rate
         self.stop = stop

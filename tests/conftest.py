@@ -99,15 +99,13 @@ class DevicePump:
 
     def run_until(self, horizon: float) -> None:
         while self._timers and self._timers[0][0] <= horizon:
-            at, _, _, kind = heapq.heappop(self._timers)
-            self.now = max(self.now, at)
-            self.apply(self.device.on_timer(kind, at, self.now))
+            self.step_timer()
         self.now = max(self.now, horizon)
 
     def step_timer(self) -> None:
         at, _, _, kind = heapq.heappop(self._timers)
         self.now = max(self.now, at)
-        self.apply(self.device.on_timer(kind, at, self.now))
+        self.apply(self.device.on_timer(kind, at))
 
     @property
     def payloads(self) -> list[bytes]:

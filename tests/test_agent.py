@@ -22,8 +22,8 @@ def run_device_round(device, request_payload, at):
 
     device.on_frame(request_payload, at)
     deadline = device.gen_deadline
-    device.on_timer(TimerKind.GEN_DEADLINE, deadline, deadline)
-    actions = device.on_timer(TimerKind.GEN_COMPLETE, deadline + 0.233, deadline + 0.233)
+    device.on_timer(TimerKind.GEN_DEADLINE, deadline)
+    actions = device.on_timer(TimerKind.GEN_COMPLETE, deadline + 0.233)
     (tx,) = [a for a in actions if isinstance(a, Transmit)]
     return tx.payload
 

@@ -232,7 +232,13 @@ def test_wire_decode_truncated_reports_offset(capsys):
     payload = wire.RequestMsg(bytes(12)).encode()[:-1]
     rc = main(["wire", "decode", "--hex", payload.hex()])
     assert rc == 1
-    assert "byte 6" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "byte 6" in err and err.count("at byte") == 1
+
+
+def test_wire_decode_empty_hex_is_an_empty_payload(capsys):
+    assert main(["wire", "decode", "--hex", ""]) == 1
+    assert "shorter than a protocol identifier" in capsys.readouterr().err
 
 
 def test_wire_decode_bad_hex(capsys):
@@ -254,12 +260,19 @@ def test_wire_decode_bad_hex(capsys):
         (["analytic", "bandwidth", "--t-req", "nan"], "crowded_t_req must be finite"),
         (["im", "solicit", "--devices", "0", "--mode", "naive", "--seed", "1"],
          "at least 1 device"),
+        (["wire", "decode", "--file", "missing.bin"], "cannot read missing.bin"),
+        (["wire", "decode", "--file", str(SCENARIOS)], "cannot read"),
+        (["scenario", "run", "--config", str(SCENARIOS)], "cannot read scenario file"),
+        (["scan", "--config", str(SCENARIOS)], "cannot read scenario file"),
+        (["provision", "--out", "out", "--count", "-1", "--seed", "1"], "--count must be >= 0"),
     ],
     ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
          "sweep-not-seeds", "ubusy-zero-interval", "ubusy-nan-interval", "table1-nan-cost",
-         "bandwidth-nan-interval", "im-no-devices"],
+         "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
+         "scenario-config-directory", "scan-config-directory", "provision-negative-count"],
 )
-def test_bad_argument_prints_one_error_line(capsys, argv, message):
+def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # relative paths name nothing, and nothing is written to the repo
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

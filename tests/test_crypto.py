@@ -262,11 +262,3 @@ def test_prf_eval():
     assert crypto.prf_eval(k1, b"x") != crypto.prf_eval(k2, b"x")
     for _ in range(50):
         assert len(crypto.prf_eval(rng.randbytes(16), rng.randbytes(20))) == 16
-
-
-def test_random_bytes_reproducible():
-    assert crypto.random_bytes(Random(7), 64) == crypto.random_bytes(Random(7), 64)
-    assert len(crypto.random_bytes(Random(0), 12)) == 12
-    a = crypto.random_bytes(Random(1), 32)
-    b = crypto.random_bytes(Random(2), 32)
-    assert a != b

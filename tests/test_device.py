@@ -117,15 +117,15 @@ def test_simultaneous_gen_and_att_defers_attestation(record):
     dev.boot(0.0)
     rng = Random(4)
     dev.on_frame(request(rng), 299.0)  # deadline at 300.0, same as attestation
-    gen_actions = dev.on_timer(TimerKind.GEN_DEADLINE, 300.0, 300.0)
+    gen_actions = dev.on_timer(TimerKind.GEN_DEADLINE, 300.0)
     assert dev.in_gen
-    att_actions = dev.on_timer(TimerKind.ATTEST, 300.0, 300.0)
+    att_actions = dev.on_timer(TimerKind.ATTEST, 300.0)
     assert dev.pending_att and dev.counters.attestations == 0
     assert any(
         isinstance(a, SetTimer) and a.kind is TimerKind.ATTEST and a.at == 600.0
         for a in att_actions
     )
-    complete = dev.on_timer(TimerKind.GEN_COMPLETE, 300.233, 300.233)
+    complete = dev.on_timer(TimerKind.GEN_COMPLETE, 300.233)
     assert any(isinstance(a, Transmit) for a in complete)  # response goes out first
     assert dev.counters.attestations == 1  # deferred attestation ran after
     assert dev.last_att_time == 300.233
@@ -177,8 +177,8 @@ def test_deadline_fill_rides_same_response(record):
     rng = Random(8)
     dev.on_frame(request(rng), 5.0)  # deadline at 6.0
     dev.on_frame(request(rng), 6.0)  # arrives exactly at the deadline
-    actions = dev.on_timer(TimerKind.GEN_DEADLINE, 6.0, 6.0)
-    complete = dev.on_timer(TimerKind.GEN_COMPLETE, 6.233, 6.233)
+    actions = dev.on_timer(TimerKind.GEN_DEADLINE, 6.0)
+    complete = dev.on_timer(TimerKind.GEN_COMPLETE, 6.233)
     (transmit,) = [a for a in complete if isinstance(a, Transmit)]
     assert wire.decode(transmit.payload).count == 2
 
@@ -190,7 +190,7 @@ def test_stale_deadline_is_noop(record):
     for _ in range(129):
         dev.on_frame(request(rng), 1.0)  # fills pool, generation starts early
     assert dev.in_gen and dev.gen_deadline is None
-    assert dev.on_timer(TimerKind.GEN_DEADLINE, 2.0, 2.0) == []
+    assert dev.on_timer(TimerKind.GEN_DEADLINE, 2.0) == []
 
 
 def test_random_delete_disabled_grows_unbounded(record, pump_factory):
@@ -369,12 +369,12 @@ def test_announcement_defers_pending_pool(record, pump_factory):
     dev.on_frame(request(rng), 1.0)
     dev.on_frame(request(rng), 1.1)  # crosses threshold -> push at 1.1
     assert dev.push_until == 6.1
-    dev.on_timer(TimerKind.ANNOUNCE, 1.1, 1.1)  # announcement busy until 1.333
+    dev.on_timer(TimerKind.ANNOUNCE, 1.1)  # announcement busy until 1.333
     assert dev.in_gen
-    dev.on_timer(TimerKind.GEN_DEADLINE, 2.0, 2.0)  # pool deadline during busy
+    dev.on_timer(TimerKind.GEN_DEADLINE, 2.0)  # pool deadline during busy
     assert dev.pending_gen
-    actions = dev.on_timer(TimerKind.GEN_COMPLETE, 2.1, 2.1)
+    actions = dev.on_timer(TimerKind.GEN_COMPLETE, 2.1)
     assert dev.in_gen  # response generation chained right after
-    complete = dev.on_timer(TimerKind.GEN_COMPLETE, 2.333, 2.333)
+    complete = dev.on_timer(TimerKind.GEN_COMPLETE, 2.333)
     payloads = [a.payload for a in complete if isinstance(a, Transmit)]
     assert payloads and wire.decode(payloads[0]).count == 2

@@ -108,8 +108,8 @@ class _TimerLog:
         self.log.append(("deliver", now))
         return []
 
-    def on_timer(self, kind, scheduled, now):
-        self.log.append((kind, now))
+    def on_timer(self, kind, at):
+        self.log.append((kind, at))
         return []
 
 
@@ -1023,10 +1023,40 @@ def test_interest_filter_matches_queueing_every_frame_in_inventory():
     assert all(frames > 0 for _, frames in rx.values())
 
 
+def test_only_the_replay_adversary_hears_frames():
+    config = _hotel_config(
+        horizon=30.0,
+        adversaries=[
+            {"name": behavior, "behavior": behavior, "rate": 5.0}
+            for behavior in ("flood", "forge_response", "forge_request")
+        ],
+    )
+
+    def run():
+        with mock.patch.object(simnet.AdversaryNode, "handle_deliver", autospec=True) as handler:
+            _, report = scenario.run_scenario(config)
+        rx = {name: m.rx_frames for name, m in report.metrics.per_node.items()}
+        return handler.call_count, rx, report.metrics.to_json()
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+    handled, rx, _ = fast
+    assert handled == 0
+    assert rx["flood"] > 0 and rx["forge_response"] > 0 and rx["forge_request"] > 0
+
+
 class _Deaf(Sink):
     """A sink that hears requests only."""
 
     hears = frozenset({wire.ID_REQUEST})
+
+
+def _queued_rx_counts(world):
+    """Arrival times of the queued events that only count an unheard frame."""
+    return sorted(
+        at for at, _, _, node, call in world._queue
+        if node is None and getattr(call, "func", None) is simnet._count_rx
+    )
 
 
 def _in_flight_world():
@@ -1046,10 +1076,10 @@ def test_unheard_frame_in_flight_at_the_horizon_counts_in_the_next_run(queue_unh
         for horizon in (1.2, 1.4):  # due at 1.5; a run that ended here never counts it
             world.run_until(horizon)
             assert (deaf.counters.rx_frames, deaf.counters.rx_bytes) == (0, 0)
-            assert len(world._deferred) == (0 if queue_unheard else 1)
+            assert _queued_rx_counts(world) == [1.5]
         world.run_until(2.0)
     assert (deaf.counters.rx_frames, deaf.counters.rx_bytes) == (1, 14)
-    assert deaf.received == [] and world._deferred == []
+    assert deaf.received == [] and _queued_rx_counts(world) == []
 
 
 def test_unheard_frame_due_at_the_horizon_counts_in_that_run_only_if_sent_within_it():
@@ -1083,7 +1113,7 @@ def test_split_while_frames_are_in_flight_defers_only_those_frames(cuts):
     for horizon in sorted(sent[i % len(sent)] + dt for i, dt in cuts):
         world.run_until(horizon)
         bound = horizon + world.link.latency_max + 1e-9
-        assert all(horizon < at <= bound for at, _, _ in world._deferred)
+        assert all(horizon < at <= bound for at in _queued_rx_counts(world))
     metrics = world.run_until(doc["horizon"])
     for node in built.agent_nodes:
         metrics.latencies[node.name] = node.latencies
