@@ -93,7 +93,7 @@ class UserAgent:
         rng: Random,
         scan_window: float = 10.0,
     ):
-        if not 0 < scan_window < math.inf:
+        if type(scan_window) is bool or not 0 < scan_window < math.inf:  # a bool is an int to Python
             raise ValueError(f"scan_window must be positive and finite, got {scan_window!r}")
         self.trust_keys = trust_keys
         self.store = store

@@ -17,6 +17,7 @@ A bad argument or config prints one `error:` line and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -90,11 +91,8 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _run_one_seed(config_doc: dict, seed: int, out_dir: str) -> tuple[str, list[str]]:
-    """Write one seed's three output files; returns (report path, failed checks)."""
-    doc = dict(config_doc)
-    doc["seed"] = seed
-    config = scenario.ScenarioConfig.from_dict(doc)
+def _run_one_seed(config: scenario.ScenarioConfig, out_dir: str) -> tuple[str, list[str]]:
+    """Write one run's three output files; returns (report path, failed checks)."""
     _, report = scenario.run_scenario(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -107,17 +105,17 @@ def _run_one_seed(config_doc: dict, seed: int, out_dir: str) -> tuple[str, list[
 def _cmd_scenario_run(args) -> int:
     config = scenario.ScenarioConfig.load(_resolve_config(args.config))
     base = Path(args.out or config.output or ".")
-    doc = config.to_dict()
     if args.sweep:
         # Runs are isolated, so seeds fan out across processes.
         from concurrent.futures import ProcessPoolExecutor
 
         seeds = [int(s) for s in args.sweep.split(",")]
+        configs = [dataclasses.replace(config, seed=s) for s in seeds]
         out_dirs = [str(base / f"seed-{s}") for s in seeds]
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_one_seed, [doc] * len(seeds), seeds, out_dirs))
+            results = list(pool.map(_run_one_seed, configs, out_dirs))
     else:
-        results = [_run_one_seed(doc, config.seed, str(base))]
+        results = [_run_one_seed(config, str(base))]
 
     for path, failing in results:
         print(f"wrote {path}")
@@ -162,6 +160,8 @@ def _cmd_lkh_demo(args) -> int:
         f"device_keys={counts.device_keys} owner_keys={counts.owner_keys} "
         f"header_bytes={counts.header_bytes}"
     )
+    if args.device is not None and not 0 <= args.device < tree.leaf_count:
+        raise ValueError(f"device index {args.device} out of range [0, {tree.leaf_count})")
     target = args.device if args.device is not None else rng.randrange(tree.leaf_count)
     nonce = rng.randbytes(wire.NONCE_LEN)
     vector = keytree.device_key_vector(tree, target)
@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, IndexError) as exc:  # a bad argument or config, ConfigError included
+    except ValueError as exc:  # a bad argument or config, ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,19 +78,14 @@ class BlendPolicy:
     announce_interval: float
 
     def __post_init__(self):
+        if bool in map(type, vars(self).values()):
+            raise ValueError("blend settings must be numbers, not true or false")
         # Written as `not x > 0` so that NaN fails too.
         if not (self.switch_threshold > 0 and self.window > 0):
             raise ValueError("blend threshold and window must be positive")
         if not (self.push_period > 0 and 0 < self.announce_interval < math.inf):
             raise ValueError("blend push period must be positive, "
                              "and announce interval positive and finite")
-
-
-# The latest response times a node keeps, so memory stays flat over long
-# horizons; criterion 12 reads at most 540 (60 s at 9 responses/s). A list
-# trimmed on append, not a deque, whose eagerly allocated block every
-# Counters would pay for, and a large inventory builds thousands.
-RESPONSE_TIMES_MAXLEN = 1024
 
 
 @dataclass
@@ -109,7 +104,6 @@ class Counters:
     announcements: int = 0
     dropped_nonces: int = 0
     pool_tmp_peak: int = 0
-    response_times: list[float] = field(default_factory=list)  # the latest only
     wasted_verifications: int = 0  # bad-signature requests burned a verify
     requests: int = 0
     receipts: int = 0
@@ -136,7 +130,7 @@ def check_options(**options) -> None:
     for name, value in options.items():
         within, rule = _OPTION_RANGES[name]
         try:
-            ok = within(value)
+            ok = type(value) is not bool and within(value)  # a bool is an int to Python
         except TypeError:  # not a number
             ok = False
         if not ok:
@@ -325,10 +319,6 @@ class Device:
         payload = self.generate_response(now).encode()
         self.pool = []
         self.counters.responses += 1
-        times = self.counters.response_times
-        times.append(now)
-        if len(times) > RESPONSE_TIMES_MAXLEN:
-            del times[0]
         return [self._occupy(Transmit(payload, len(payload), retransmit=True), now)]
 
     def _complete_gen(self, now: float) -> list[Action]:

@@ -155,11 +155,11 @@ class DeviceProvisioningRecord:
             raise ProvisioningError(
                 f"pool_max must be an integer in [1, {wire.RESPONSE_MAX_NONCES}], got {pool_max!r}"
             )
-        if not 0 < t_att < math.inf:
+        if type(t_att) is bool or not 0 < t_att < math.inf:  # a bool is an int to Python
             raise ProvisioningError(
                 f"attestation interval must be positive and finite, got {t_att!r}"
             )
-        if not 0 <= t_gen < math.inf:
+        if type(t_gen) is bool or not 0 <= t_gen < math.inf:
             raise ProvisioningError(f"response delay must be >= 0 and finite, got {t_gen!r}")
 
 

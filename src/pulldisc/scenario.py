@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import Any
@@ -169,21 +169,12 @@ class ScenarioConfig:
             doc = json.loads(Path(path).read_text("utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSON, or the UTF-8 that JSON is written in
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "mode": self.mode,
-            "link": dict(self.link),
-            "devices": [dict(d) for d in self.devices],
-            "users": [dict(u) for u in self.users],
-            "adversaries": [dict(a) for a in self.adversaries],
-            "output": self.output,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -284,7 +275,7 @@ class RunReport:
                 "tool_version": self.tool_version,
                 "config": self.config,
                 "checks": dict(sorted(self.checks.items())),
-                "metrics": json.loads(self.metrics.to_json()),
+                "metrics": self.metrics.to_doc(),
             },
             sort_keys=True,
             indent=2,
@@ -309,8 +300,6 @@ def run_scenario(config: ScenarioConfig, capture_frames: bool = False) -> tuple[
             for m in metrics.per_node.values()
         ),
     }
-    for node in built.agent_nodes:
-        metrics.latencies[node.name] = node.latencies
     report = RunReport(
         config=config.to_dict(),
         metrics=metrics,

@@ -59,15 +59,16 @@ class LinkConfig:
     manifest_fetch_delay: float = 1.3
 
     def __post_init__(self):
-        if not 0.0 <= self.p_loss <= 1.0:
+        if type(self.p_loss) is bool or not 0.0 <= self.p_loss <= 1.0:  # a bool is an int to Python
             raise ValueError(f"p_loss must be within [0, 1], got {self.p_loss!r}")
         # A negative latency would schedule a delivery before its broadcast,
         # an infinite one would never deliver.
-        if not 0.0 <= self.latency_min <= self.latency_max < math.inf:
+        if (bool in (type(self.latency_min), type(self.latency_max))
+                or not 0.0 <= self.latency_min <= self.latency_max < math.inf):
             raise ValueError("latencies must satisfy 0 <= latency_min <= latency_max < inf, "
                              f"got {self.latency_min!r} and {self.latency_max!r}")
         # It is added to every latency, which metrics.json must write as a number.
-        if not 0.0 <= self.manifest_fetch_delay < math.inf:
+        if type(self.manifest_fetch_delay) is bool or not 0.0 <= self.manifest_fetch_delay < math.inf:
             raise ValueError("manifest_fetch_delay must be >= 0 and finite, "
                              f"got {self.manifest_fetch_delay!r}")
         if type(self.randomize_addresses) is not bool:
@@ -96,8 +97,9 @@ class Metrics:
     frames_dropped: int = 0
     latencies: dict[str, list[float]] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The metrics.json document, which report.json also embeds."""
+        return {
             "horizon": self.horizon,
             "frames_dropped": self.frames_dropped,
             "latencies": {k: [round(v, 9) for v in vs] for k, vs in sorted(self.latencies.items())},
@@ -106,7 +108,9 @@ class Metrics:
                 for name, m in sorted(self.per_node.items())
             },
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True, indent=2)
 
 
 class Node:
@@ -178,7 +182,9 @@ class World:
     def schedule_action(
         self, at: float, fn: Callable[[float], None], prio: int = _PRIO_ACTION
     ) -> None:
-        """Call `fn(now)` at time `at`; `prio` orders calls at equal times."""
+        """Call `fn(now)` at time `at` >= now; `prio` orders calls at equal times."""
+        if not at >= self.now:  # NaN fails too
+            raise ValueError(f"cannot schedule an event at {at!r}, before the current time {self.now!r}")
         heapq.heappush(self._queue, (at, prio, next(self._seq), None, fn))
 
     # -- medium ---------------------------------------------------------------
@@ -324,6 +330,8 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in ("periodic", "poisson", "burst"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
+        if bool in (type(self.interval), type(self.start)):
+            raise ValueError("arrival interval and start must be numbers, not true or false")
         if self.kind != "burst" and not 0 < self.interval < math.inf:
             # A zero interval would repeat one instant forever.
             raise ValueError(f"{self.kind} arrival interval must be positive and finite, "
@@ -369,6 +377,7 @@ class AgentNode(Node):
         self._times = None
 
     def start(self, now: float) -> None:
+        self.world.metrics.latencies[self.name] = self.latencies
         # Arrival times are pulled lazily so an open-ended schedule never
         # preloads the queue past the horizon.
         self._times = self.arrivals.times(self.agent.rng)
@@ -443,6 +452,7 @@ class ImDeviceNode(Node):
         self, name: str, device: ImDevice, t_res: float = 0.233, domain: str = "default"
     ):
         super().__init__(name, domain)
+        device_mod.check_options(t_res=t_res)
         self.device = device
         self.counters = device.counters
         self.hears = getattr(device, "hears", None)
@@ -471,6 +481,9 @@ class OwnerNode(Node):
         domain: str = "default",
     ):
         super().__init__(name, domain)
+        # Exact types: a bool is an int to isinstance, and is not a time.
+        if not all(type(t) in (int, float) and 0 <= t < math.inf for t in round_times):
+            raise ValueError(f"owner round times must be numbers >= 0 and finite, got {round_times!r}")
         self.owner = owner
         self.counters = owner.counters
         self.hears = getattr(owner, "hears", None)
@@ -513,7 +526,7 @@ class AdversaryNode(Node):
         super().__init__(name, domain)
         if behavior not in ("flood", "replay", "forge_response", "forge_request"):
             raise ValueError(f"unknown adversary behavior {behavior!r}")
-        if not 0 < rate < math.inf:
+        if type(rate) is bool or not 0 < rate < math.inf:
             raise ValueError(f"adversary rate must be positive and finite, got {rate!r}")
         self.behavior = behavior
         if behavior != "replay":

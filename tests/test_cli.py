@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from pulldisc import registration, wire
+from pulldisc import keytree, registration, wire
 from pulldisc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -265,18 +265,30 @@ def test_wire_decode_bad_hex(capsys):
         (["scenario", "run", "--config", str(SCENARIOS)], "cannot read scenario file"),
         (["scan", "--config", str(SCENARIOS)], "cannot read scenario file"),
         (["provision", "--out", "out", "--count", "-1", "--seed", "1"], "--count must be >= 0"),
+        (["scenario", "run", "--config", "not-utf8.json"], "scenario file not-utf8.json"),
     ],
     ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
          "sweep-not-seeds", "ubusy-zero-interval", "ubusy-nan-interval", "table1-nan-cost",
          "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
-         "scenario-config-directory", "scan-config-directory", "provision-negative-count"],
+         "scenario-config-directory", "scan-config-directory", "provision-negative-count",
+         "scenario-config-not-utf8"],
 )
 def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # relative paths name nothing, and nothing is written to the repo
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff{}")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_internal_index_error_is_not_a_bad_argument(monkeypatch):
+    def broken_walk(*args):
+        raise IndexError("internal fault")
+
+    monkeypatch.setattr(keytree, "walk", broken_walk)
+    with pytest.raises(IndexError, match="internal fault"):
+        main(["lkh", "demo", "--n", "8", "--seed", "1"])
 
 
 def test_scenario_output_path_from_config(tmp_path, capsys, monkeypatch):
