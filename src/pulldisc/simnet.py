@@ -8,11 +8,12 @@ probability. A queued event is either a frame delivery or a call.
 Each node hears only the frame kinds (6-byte payload prefixes) its
 protocol component declares in `hears`; a component that declares nothing
 hears every frame. A frame is queued as a delivery only to nodes that hear
-its kind. Every other receiver still draws its loss and latency, in the
-same order, and counts the frame in its rx counters: at send time when it
-arrives within the running horizon, otherwise through a queued event that
-counts it on arrival. So rx counters and all outputs are those of
-delivering every frame to every node.
+its kind and have not handled its payload by its arrival (a user handles a
+response once per scan window). Every other receiver still draws its loss
+and latency, in the same order, and counts the frame in its rx counters:
+at send time when it arrives within the running horizon, otherwise through
+a queued event that counts it on arrival. So rx counters and all outputs
+are those of delivering every frame to every node.
 
 Event ordering is total and deterministic: (time, priority, sequence),
 with deliveries processed first at equal timestamps, then device timers
@@ -118,6 +119,8 @@ class Node:
 
     # The frame kinds `handle_deliver` acts on; None hears every frame.
     hears: frozenset[bytes] | None = None
+    # Payload -> latest arrival at which a copy changes only rx; None: no record.
+    handled: dict | None = None
 
     def __init__(self, name: str, domain: str = "default"):
         # Broadcast compares domains for equality: a NaN one would match none.
@@ -157,7 +160,7 @@ class World:
         self._horizon = -math.inf
 
     # The reference path, for tests only: queue every unheard frame as an
-    # event that counts it on arrival, even one due within the horizon.
+    # event that counts it on arrival, and deliver every handled copy.
     _queue_unheard = False
 
     # -- topology ------------------------------------------------------------
@@ -199,10 +202,10 @@ class World:
     def broadcast(self, sender: str, payload: bytes, now: float, wire_size: int | None = None) -> None:
         """Deliver to every other node in the sender's domain, minus losses.
 
-        Each receiver draws loss, then latency. A receiver that does not
-        hear the payload's kind gets no delivery: the frame is counted in
-        its rx now if it arrives within the running horizon, and otherwise
-        by a `_count_rx` event queued for its arrival."""
+        Each receiver draws loss, then latency. One that does not hear the
+        payload's kind, or has handled the payload by the copy's arrival,
+        gets no delivery: the frame is counted in its rx now if it arrives
+        within the running horizon, and otherwise by a queued `_count_rx`."""
         if len(payload) > wire.MAX_PAYLOAD:
             raise wire.CapacityError(
                 f"payload of {len(payload)} bytes exceeds the {wire.MAX_PAYLOAD}-byte budget"
@@ -230,8 +233,11 @@ class World:
             at = now + (lo + span * random())
             hears = node.hears
             if hears is None or kind in hears:
-                push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
-            elif at <= horizon and not queue_unheard:
+                handled = node.handled
+                if handled is None or queue_unheard or handled.get(payload, -1.0) < at:
+                    push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
+                    continue
+            if at <= horizon and not queue_unheard:
                 m = node.counters
                 m.rx_bytes += size
                 m.rx_frames += 1
@@ -372,8 +378,9 @@ class AgentNode(Node):
         self.reports: list[agent_mod.DeviceReport] = []
         self.discards: dict[str, int] = {}
         self.latencies: list[float] = []
-        # payloads already reported, per pending request nonce
-        self._reported: dict[bytes, set[bytes]] = {}
+        # Response payloads and (anchor nonce, announcement) pairs in the
+        # order settled, each mapped to one scan window after its first copy.
+        self.handled: dict[bytes | tuple[bytes, bytes], float] = {}
         self._times = None
 
     def start(self, now: float) -> None:
@@ -404,42 +411,48 @@ class AgentNode(Node):
             if now <= oldest.sent_at + oldest.scan_window:
                 return
             del self.pending[nonce]
-            self._reported.pop(nonce, None)
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
         """Credit a response to each pending request it pools and an
-        announcement to the oldest pending request; a payload already
-        reported for a request is skipped. The agent hears no other kind."""
-        payload = frame.payload
-        is_response = payload.startswith(wire.ID_RESPONSE)
-        self._expire(now)
-        if not self.pending:
+        announcement to the oldest pending request, its anchor; the agent
+        hears no other kind. The first copy settles a response for a scan
+        window (it pools no later request) and an announcement for its
+        anchor. A later copy that lands while settled returns at once, when
+        `World.broadcast` delivers it at all. `manifest-unavailable` settles
+        nothing."""
+        payload, handled, pending = frame.payload, self.handled, self.pending
+        if handled.get(payload, -1.0) >= now:
             return
-        if is_response:
+        self._expire(now)
+        key, owners, reason = payload, [], None
+        if not payload.startswith(wire.ID_RESPONSE):
+            if not pending:
+                return
+            owners = [next(iter(pending.values()))]
+            key = (owners[0].nonce, payload)
+            if handled.get(key, -1.0) >= now:
+                return
+        elif pending:
             pooled = self.agent.pooled_nonces(payload, now)
             if pooled is None:
-                self._discard(agent_mod.DiscardReason.MALFORMED)
-                return
-            owners = [p for nonce, p in self.pending.items() if nonce in pooled]
-            if not owners:
-                self._discard(agent_mod.DiscardReason.STALE_OR_REPLAY)
-        else:
-            owners = [next(iter(self.pending.values()))]
-        for pending in owners:
-            reported = self._reported.setdefault(pending.nonce, set())
-            if payload in reported:
-                continue
-            result = self.agent.on_response(pending, payload, now)
+                reason = agent_mod.DiscardReason.MALFORMED
+            else:
+                owners = [p for nonce, p in pending.items() if nonce in pooled]
+                reason = None if owners else agent_mod.DiscardReason.STALE_OR_REPLAY
+        for request in owners:
+            result = self.agent.on_response(request, payload, now)
             if not isinstance(result, agent_mod.DeviceReport):
-                self._discard(result)
-                continue
-            reported.add(payload)
+                reason = result  # the checks that fail do not depend on the request
+                break
             self.reports.append(result)
-            if is_response:
-                self.latencies.append(now - pending.sent_at + self.world.link.manifest_fetch_delay)
-
-    def _discard(self, reason: agent_mod.DiscardReason) -> None:
-        self.discards[reason.value] = self.discards.get(reason.value, 0) + 1
+            if result.source is agent_mod.ReportSource.RESPONSE:
+                self.latencies.append(now - request.sent_at + self.world.link.manifest_fetch_delay)
+        if reason is not None:
+            self.discards[reason.value] = self.discards.get(reason.value, 0) + 1
+        if reason is not agent_mod.DiscardReason.MANIFEST_UNAVAILABLE:
+            while handled and next(iter(handled.values())) < now:  # all last one window
+                del handled[next(iter(handled))]
+            handled[key] = now + self.agent.scan_window
 
     def deduped_reports(self) -> list[agent_mod.DeviceReport]:
         return agent_mod.dedup(self.reports)

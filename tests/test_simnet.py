@@ -345,14 +345,14 @@ def test_receive_state_stays_bounded_over_an_hour():
     doc["horizon"] = 3600.0
     built = scenario.build_world(scenario.ScenarioConfig.from_dict(doc))
     world = built.world
-    peaks = {"pending": 0, "payloads": 0, "manifests": 0}
+    peaks = {"pending": 0, "payloads": 0, "manifests": 0, "handled": 0}
 
     def sample(now):
         for node in built.agent_nodes:
             peaks["pending"] = max(peaks["pending"], len(node.pending))
             peaks["payloads"] = max(peaks["payloads"], len(node.agent._payloads))
             peaks["manifests"] = max(peaks["manifests"], len(node.agent._manifests))
-            assert node._reported.keys() <= node.pending.keys()
+            peaks["handled"] = max(peaks["handled"], len(node.handled))
         world.schedule_action(now + 0.5, sample)
 
     world.schedule_action(0.0, sample)
@@ -362,6 +362,7 @@ def test_receive_state_stays_bounded_over_an_hour():
     assert sent > 150 and reports > 150
     assert peaks["pending"] <= 4
     assert peaks["payloads"] <= 12
+    assert peaks["handled"] <= 12
     assert peaks["manifests"] == len(built.device_nodes)
 
 
@@ -408,7 +409,7 @@ def test_receive_state_stays_bounded_over_a_day():
 
     world.schedule_action(0.0, sample)
     world.run_until(day)
-    assert {"node.pending", "node._reported", "agent._payloads", "agent._manifests"} <= set(
+    assert {"node.pending", "node.handled", "agent._payloads", "agent._manifests"} <= set(
         peaks["first hour"]
     )
     assert len(node.reports) > 2000  # announcements kept arriving all day
@@ -1029,18 +1030,46 @@ def _both_ways(run):
     return fast, reference
 
 
-@given(_scenario_docs(max_edits=0, min_nodes=1))
+_PULL_AND_PUSH = {
+    "seed": 7,
+    "horizon": 20.0,
+    "devices": [{"name": "d0"}, {"name": "d1", "mode": "push", "announce_interval": 4.0}],
+    "users": [
+        {"name": "u0", "arrival": {"kind": "periodic", "interval": 5.0, "start": 1.0}},
+        {"name": "u1", "arrival": {"kind": "poisson", "interval": 3.0}},
+    ],
+}
+
+
+# The examples reach what the draws do not: a copy sent before the one
+# before it lands; a handled record that lapses while a copy is in flight
+# (every 30 ms copy takes 25 ms, a record lasts 100 ms); a lost first copy;
+# replayed responses and announcements; and a run split while d0's first
+# response (sent every 30 ms from 2.2352 s) is in flight.
+@given(_scenario_docs(max_edits=0, min_nodes=1), st.just(None))
+@example(dict(_PULL_AND_PUSH, link={"latency_max": 0.05}), None)
+@example({"seed": 4, "horizon": 20.0, "link": {"latency_min": 0.025, "latency_max": 0.025},
+          "devices": [{"name": "d0", "t_gen": 0.0}],
+          "users": [{"name": "u0", "scan_window": 0.1,
+                     "arrival": {"kind": "periodic", "interval": 0.05}}]}, None)
+@example(dict(_PULL_AND_PUSH, link={"p_loss": 0.5}), None)
+@example(dict(_PULL_AND_PUSH, adversaries=[
+    {"name": "a0", "behavior": "replay", "record_until": 9.0, "replay_at": [10.0, 16.0]}]), None)
+@example(_PULL_AND_PUSH, 2.27)
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_interest_filter_matches_queueing_every_frame(doc):
+def test_interest_filter_matches_queueing_every_frame(doc, split):
     config = scenario.ScenarioConfig.from_dict(doc)
 
     def run():
-        built, report = scenario.run_scenario(config)
+        built = scenario.build_world(config)
+        if split is not None:
+            built.world.run_until(split)
+        metrics = built.world.run_until(config.horizon)
         users = [
             ([r.to_json_fields() for r in node.reports], node.latencies, node.discards)
             for node in built.agent_nodes
         ]
-        return report.metrics.to_json(), report.to_json(), users
+        return metrics.to_json(), users
 
     fast, reference = _both_ways(run)
     assert fast == reference
@@ -1090,6 +1119,80 @@ def test_only_the_replay_adversary_hears_frames():
     handled, rx, _ = fast
     assert handled == 0
     assert rx["flood"] > 0 and rx["forge_response"] > 0 and rx["forge_request"] > 0
+
+
+def _recorded_heapq(pushed: list):
+    """A stand-in for the simulator's heapq that records every pushed event."""
+
+    def heappush(queue, item):
+        pushed.append(item)
+        heapq.heappush(queue, item)
+
+    return types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+
+
+def _stale_copies(link: simnet.LinkConfig, scan_window: float, arrivals: simnet.ArrivalModel):
+    """Ten copies, sent from 1.0 s, of a response that pools none of one
+    user's requests, run both ways: the user's discards and reports, its
+    rx frames and the delivery events queued for it."""
+    rng = Random(7)
+    stale = wire.ResponseMsg(
+        rng.randbytes(12), (rng.randbytes(12),), b"ZZzzZZzzZZzzZZ",
+        wire.AttReport(wire.ATT_SUCCESS, 0), rng.randbytes(64),
+    ).encode()
+
+    def run():
+        world = simnet.World(seed=1, link=link)
+        world.add_node(Sink("tx"))
+        user = agent.UserAgent((), registration.ManifestStore(), Random(2), scan_window)
+        node = world.add_node(simnet.AgentNode("user", user, arrivals))
+        world.schedule_action(1.0, functools.partial(world.retransmit, "tx", stale))
+        pushed = []
+        with mock.patch.object(simnet, "heapq", _recorded_heapq(pushed)):
+            world.run_until(2.0)
+        deliveries = sum(item[3] is node for item in pushed)
+        return node.discards, len(node.reports), node.counters.rx_frames, deliveries
+
+    return _both_ways(run)
+
+
+def test_ten_copies_of_one_stale_response_make_one_discard():
+    fast, reference = _stale_copies(simnet.LinkConfig(), 10.0, simnet.ArrivalModel("burst", count=1))
+    assert fast == ({"stale-or-replay": 1}, 0, 10, 1)
+    assert reference == ({"stale-or-replay": 1}, 0, 10, 10)  # every copy reaches handle_deliver
+
+
+def test_a_copy_landing_after_its_record_lapses_is_handled_again():
+    # Every frame takes 20 ms and a record lasts 50 ms. Copy 1 lands at
+    # +20 ms; copy 3 is sent at +60 ms, before that record lapses at +70 ms,
+    # and lands after it, at +80 ms.
+    link = simnet.LinkConfig(latency_min=0.02, latency_max=0.02)
+    fast, reference = _stale_copies(link, 0.05, simnet.ArrivalModel("periodic", interval=0.01))
+    assert fast == ({"stale-or-replay": 5}, 0, 10, 5)  # copies 1, 3, 5, 7 and 9
+    assert reference == ({"stale-or-replay": 5}, 0, 10, 10)
+
+
+def test_manifest_published_between_copies_is_reported():
+    config = _hotel_config(
+        horizon=10.0, users=[{"name": "user0", "arrival": {"kind": "burst", "count": 1, "start": 3.0}}]
+    )
+    built, _ = scenario.run_scenario(config, capture_frames=True)
+    first = min(t for t, _, f in built.world.captured if f.payload.startswith(wire.ID_RESPONSE))
+
+    def run():
+        built = scenario.build_world(config)
+        token, entry = built.store._entries.popitem()  # the one device's manifest
+        # Copies go out every 30 ms and land within 10 ms: two land before this.
+        built.world.schedule_action(first + 0.045, lambda now: built.store.put(token, *entry))
+        metrics = built.world.run_until(config.horizon)
+        node = built.agent_nodes[0]
+        return node.discards, [r.received_at for r in node.reports], metrics.to_json()
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+    discards, received, _ = fast
+    assert discards == {"manifest-unavailable": 2}
+    assert len(received) == 1 and first + 0.06 < received[0] <= first + 0.07  # the third copy
 
 
 class _Deaf(Sink):
