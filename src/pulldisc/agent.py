@@ -9,10 +9,11 @@ typed discard reason and no partial report ever escapes:
 Announcements from push/blend devices go through the same pipeline minus
 the nonce check and are marked with their source.
 
-Each agent remembers what it decoded and verified, keyed on exact bytes:
-ECDSA signatures here are deterministic (RFC 6979), so byte-identical
-payloads are the same response. The memos belong to one agent because
-users verify independently.
+An agent decodes a payload once per delivery: it keeps the last payload
+and its decoded message, so the request-nonce lookup and the reports for
+each pending request it pools share one decode. Only manifest verdicts are
+memoised, per agent because users verify independently. A signature
+checked again is caught by `crypto.verify`'s verdict cache.
 """
 
 from __future__ import annotations
@@ -70,17 +71,6 @@ class DeviceReport:
         }
 
 
-@dataclass
-class _Seen:
-    """One distinct payload as this agent first decoded it."""
-
-    first_seen: float
-    message: wire.WireMessage | None  # None when the payload does not decode
-    pooled: frozenset[bytes] | None  # request nonces, for responses only
-    signer: bytes | None = None  # device key the signature was checked against
-    signature_ok: bool = False
-
-
 class UserAgent:
     """One logical user; verification is pure, agents are independent."""
 
@@ -99,9 +89,9 @@ class UserAgent:
         self.store = store
         self.rng = rng
         self.scan_window = scan_window
-        # Insertion order is first-seen order; entries older than a scan
-        # window are dropped, and a payload seen again later is re-verified.
-        self._payloads: dict[bytes, _Seen] = {}
+        # The last payload and its message, None when it does not decode
+        # (as the empty payload does not).
+        self._decoded: tuple[bytes, wire.WireMessage | None] = (b"", None)
         # Keyed on the exact stored (manifest bytes, signature). The store
         # never replaces an entry, so this holds at most one verdict per
         # token; an unknown token is looked up again on every call.
@@ -115,10 +105,9 @@ class UserAgent:
     def on_response(
         self, pending: PendingRequest, payload: bytes, now: float
     ) -> DeviceReport | DiscardReason:
-        seen = self._seen(payload, now)
-        message = seen.message
+        message = self._decode(payload)
         if isinstance(message, wire.ResponseMsg):
-            if pending.nonce not in seen.pooled:
+            if pending.nonce not in message.pooled_nonces:
                 return DiscardReason.STALE_OR_REPLAY
             source = ReportSource.RESPONSE
         elif isinstance(message, wire.AnnouncementMsg):
@@ -137,12 +126,9 @@ class UserAgent:
         if manifest is DiscardReason.MANIFEST_INVALID:
             return manifest
 
-        if seen.signer != manifest.device_public_key:
-            seen.signer = manifest.device_public_key
-            seen.signature_ok = crypto.verify(
-                seen.signer, wire.signed_region(message), message.signature
-            )
-        if not seen.signature_ok:
+        if not crypto.verify(
+            manifest.device_public_key, wire.signed_region(message), message.signature
+        ):
             return DiscardReason.SIGNATURE_INVALID
 
         return DeviceReport(
@@ -155,29 +141,21 @@ class UserAgent:
             device_nonce=message.device_nonce,
         )
 
-    def pooled_nonces(self, payload: bytes, now: float) -> frozenset[bytes] | None:
+    def pooled_nonces(self, payload: bytes) -> tuple[bytes, ...] | None:
         """Request nonces a response pools, or None if the payload does
         not decode as a response."""
-        return self._seen(payload, now).pooled
+        message = self._decode(payload)
+        return message.pooled_nonces if isinstance(message, wire.ResponseMsg) else None
 
-    def _seen(self, payload: bytes, now: float) -> _Seen:
-        seen = self._payloads.get(payload)
-        if seen is not None:
-            return seen
-        while self._payloads:
-            oldest = next(iter(self._payloads))
-            if self._payloads[oldest].first_seen >= now - self.scan_window:
-                break
-            del self._payloads[oldest]
-        try:
-            message = wire.decode(payload)
-        except wire.WireError:
-            message = None
-        pooled = (
-            frozenset(message.pooled_nonces) if isinstance(message, wire.ResponseMsg) else None
-        )
-        seen = self._payloads[payload] = _Seen(now, message, pooled)
-        return seen
+    def _decode(self, payload: bytes) -> wire.WireMessage | None:
+        last, message = self._decoded
+        if payload != last:
+            try:
+                message = wire.decode(payload)
+            except wire.WireError:
+                message = None
+            self._decoded = (payload, message)
+        return message
 
     def _verified_manifest(
         self, manifest_bytes: bytes, signature: bytes

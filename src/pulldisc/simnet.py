@@ -433,7 +433,7 @@ class AgentNode(Node):
             if handled.get(key, -1.0) >= now:
                 return
         elif pending:
-            pooled = self.agent.pooled_nonces(payload, now)
+            pooled = self.agent.pooled_nonces(payload)
             if pooled is None:
                 reason = agent_mod.DiscardReason.MALFORMED
             else:

@@ -326,15 +326,25 @@ def test_agent_receives_and_dedups():
     assert all(lat >= 1.0 for lat in node.latencies)  # response delay floor
 
 
-def test_response_pooling_two_requests_credits_both():
+def test_response_pooling_two_requests_credits_both(monkeypatch):
     config = _hotel_config(
         users=[
             {"name": "user0", "arrival": {"kind": "periodic", "interval": 0.2, "start": 3.0, "count": 2}}
         ],
     )
+    decoded = []
+    real_decode = wire.decode
+
+    def counted_decode(payload):
+        if payload.startswith(wire.ID_RESPONSE):
+            decoded.append(payload)
+        return real_decode(payload)
+
+    monkeypatch.setattr(wire, "decode", counted_decode)
     built, report = scenario.run_scenario(config)
     node = built.agent_nodes[0]
     assert built.device_nodes[0].device.counters.responses == 1  # one response pools both
+    assert len(decoded) == 1  # decoded once for both reports
     assert len(node.reports) == 2
     assert len(node.latencies) == 2
     assert max(node.latencies) - min(node.latencies) == pytest.approx(0.2)
@@ -345,12 +355,11 @@ def test_receive_state_stays_bounded_over_an_hour():
     doc["horizon"] = 3600.0
     built = scenario.build_world(scenario.ScenarioConfig.from_dict(doc))
     world = built.world
-    peaks = {"pending": 0, "payloads": 0, "manifests": 0, "handled": 0}
+    peaks = {"pending": 0, "manifests": 0, "handled": 0}
 
     def sample(now):
         for node in built.agent_nodes:
             peaks["pending"] = max(peaks["pending"], len(node.pending))
-            peaks["payloads"] = max(peaks["payloads"], len(node.agent._payloads))
             peaks["manifests"] = max(peaks["manifests"], len(node.agent._manifests))
             peaks["handled"] = max(peaks["handled"], len(node.handled))
         world.schedule_action(now + 0.5, sample)
@@ -361,7 +370,9 @@ def test_receive_state_stays_bounded_over_an_hour():
     reports = sum(len(node.deduped_reports()) for node in built.agent_nodes)
     assert sent > 150 and reports > 150
     assert peaks["pending"] <= 4
-    assert peaks["payloads"] <= 12
+    for node in built.agent_nodes:  # manifest verdicts are the agent's only store
+        stores = [n for n, v in vars(node.agent).items() if isinstance(v, (dict, list, set))]
+        assert stores == ["_manifests"]
     assert peaks["handled"] <= 12
     assert peaks["manifests"] == len(built.device_nodes)
 
@@ -409,7 +420,7 @@ def test_receive_state_stays_bounded_over_a_day():
 
     world.schedule_action(0.0, sample)
     world.run_until(day)
-    assert {"node.pending", "node.handled", "agent._payloads", "agent._manifests"} <= set(
+    assert {"node.pending", "node.handled", "agent._manifests"} <= set(
         peaks["first hour"]
     )
     assert len(node.reports) > 2000  # announcements kept arriving all day
