@@ -6,7 +6,7 @@ Subcommands:
     scenario run     execute a scenario config, emit metrics JSON + CSV
     analytic         ubusy / bandwidth / table1 closed-form evaluations
     lkh demo         key-tree stats, a traversal trace, and overhead counts
-    im solicit       one inventory round against a simulated fleet
+    im solicit       one inventory round on the simulator
     wire decode      parse a hex payload and dump its fields
 
 Scenario paths are resolved against PULLDISC_CONFIG_DIR when not found
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from random import Random
 
-from . import __version__, analytics, crypto, inventory, keytree, registration, scenario, wire
+from . import __version__, analytics, crypto, inventory, keytree, registration, scenario, simnet, wire
 
 CONFIG_DIR_ENV = "PULLDISC_CONFIG_DIR"
 
@@ -45,8 +45,6 @@ def _cmd_provision(args) -> int:
     rng = Random(args.seed)
     mfr = crypto.generate_keypair(rng)
     store = registration.ManifestStore()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     settings = {k: getattr(args, k) for k in ("t_att", "t_gen", "pool_max") if k in args}
     for i in range(args.count):
@@ -73,6 +71,8 @@ def _cmd_provision(args) -> int:
                 "pool_max": record.pool_max,
             }
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     store.save_dir(out / "manifests")
     registration.write_trust_file(out / "trust.keys", [mfr.public_key])
     (out / "devices.json").write_text(json.dumps(records, indent=2) + "\n")
@@ -105,11 +105,13 @@ def _run_one_seed(config: scenario.ScenarioConfig, out_dir: str) -> tuple[str, l
 def _cmd_scenario_run(args) -> int:
     config = scenario.ScenarioConfig.load(_resolve_config(args.config))
     base = Path(args.out or config.output or ".")
-    if args.sweep:
+    if args.sweep is not None:
         # Runs are isolated, so seeds fan out across processes.
         from concurrent.futures import ProcessPoolExecutor
 
-        seeds = [int(s) for s in args.sweep.split(",")]
+        seeds = [int(s) for s in args.sweep.split(",")]  # an empty list fails here too
+        if len(set(seeds)) < len(seeds):  # each seed writes its own directory
+            raise ValueError(f"--sweep repeats a seed, got {args.sweep!r}")
         configs = [dataclasses.replace(config, seed=s) for s in seeds]
         out_dirs = [str(base / f"seed-{s}") for s in seeds]
         with ProcessPoolExecutor() as pool:
@@ -191,22 +193,25 @@ def _cmd_im_solicit(args) -> int:
         devices = owner.enroll_lkh_fleet(infos, image, args.p, rng)
     else:
         devices = [owner.enroll_naive(info, image, rng) for info in infos]
-    request = owner.make_request()
-    for dev in devices:
-        response = dev.respond(request)
-        result = owner.receive(response)
-        if isinstance(result, inventory.ImReceipt):
-            device_id, type_code, version = inventory.parse_device_info(result.device_info)
-            print(json.dumps({
-                "device_id": device_id.decode("ascii", "replace"),
-                "attestation": "success" if result.att_result == wire.ATT_SUCCESS else "fail",
-                "type_code": type_code,
-                "sw_version": version,
-                "trials": result.trials,
-                "prf_evals": result.prf_evals,
-            }, sort_keys=True))
-        else:
-            print(json.dumps({"reject": result.value}, sort_keys=True))
+    # One round on the simulator: request latency, one response window, response latency.
+    world = simnet.World(seed=args.seed)
+    owner_node = world.add_node(simnet.OwnerNode("owner", owner, [0.0]))
+    nodes = [world.add_node(simnet.ImDeviceNode(f"d{i}", dev)) for i, dev in enumerate(devices)]
+    world.run_until(world.link.latency_max + nodes[0].t_res + world.link.latency_max)
+    # Device ids are numbered in enrollment order.
+    for _, receipt in sorted(owner_node.receipts, key=lambda r: r[1].device_id):
+        device_id, type_code, version = inventory.parse_device_info(receipt.device_info)
+        print(json.dumps({
+            "device_id": device_id.decode("ascii", "replace"),
+            "attestation": "success" if receipt.att_result == wire.ATT_SUCCESS else "fail",
+            "type_code": type_code,
+            "sw_version": version,
+            "trials": receipt.trials,
+            "prf_evals": receipt.prf_evals,
+        }, sort_keys=True))
+    for reason, count in owner_node.rejects.items():
+        for _ in range(count):
+            print(json.dumps({"reject": reason}, sort_keys=True))
     return 0
 
 

@@ -122,14 +122,17 @@ class Node:
     # Payload -> latest arrival at which a copy changes only rx; None: no record.
     handled: dict | None = None
 
-    def __init__(self, name: str, domain: str = "default"):
+    def __init__(self, name: str, domain: str = "default", component: object = None):
         # Broadcast compares domains for equality: a NaN one would match none.
         if not isinstance(domain, str):
             raise ValueError(f"domain must be a string, got {domain!r}")
         self.name = name
         self.domain = domain
         self.world: "World | None" = None
-        self.counters = device_mod.Counters()
+        # The wrapped component's tallies and kinds heard, else a fresh record and the class's.
+        self.counters = getattr(component, "counters", None) or device_mod.Counters()
+        if hasattr(component, "hears"):
+            self.hears = component.hears
 
     def start(self, now: float) -> None:
         """Schedule initial events; called once, at the world's first run
@@ -296,10 +299,8 @@ class DeviceNode(Node):
     """Adapts a pull/push/blend device to the event loop."""
 
     def __init__(self, name: str, device: device_mod.Device, domain: str = "default"):
-        super().__init__(name, domain)
+        super().__init__(name, domain, device)
         self.device = device
-        self.counters = device.counters
-        self.hears = getattr(device, "hears", None)
 
     def start(self, now: float) -> None:
         self._apply(self.device.boot(now), now)
@@ -369,12 +370,10 @@ class AgentNode(Node):
         arrivals: ArrivalModel,
         domain: str = "default",
     ):
-        super().__init__(name, domain)
+        super().__init__(name, domain, user_agent)
         self.agent = user_agent
-        self.hears = getattr(user_agent, "hears", None)
         self.arrivals = arrivals
         self.pending: dict[bytes, agent_mod.PendingRequest] = {}
-        self.sent_nonces: list[bytes] = []
         self.reports: list[agent_mod.DeviceReport] = []
         self.discards: dict[str, int] = {}
         self.latencies: list[float] = []
@@ -399,7 +398,6 @@ class AgentNode(Node):
         self._expire(now)
         payload, pending = self.agent.make_request(now)
         self.pending[pending.nonce] = pending
-        self.sent_nonces.append(pending.nonce)
         self.world.broadcast(self.name, payload, now)
         self._schedule_next(now)
 
@@ -464,11 +462,9 @@ class ImDeviceNode(Node):
     def __init__(
         self, name: str, device: ImDevice, t_res: float = 0.233, domain: str = "default"
     ):
-        super().__init__(name, domain)
+        super().__init__(name, domain, device)
         device_mod.check_options(t_res=t_res)
         self.device = device
-        self.counters = device.counters
-        self.hears = getattr(device, "hears", None)
         self.t_res = t_res
         self._busy_until = 0.0
 
@@ -493,13 +489,11 @@ class OwnerNode(Node):
         round_times: list[float],
         domain: str = "default",
     ):
-        super().__init__(name, domain)
+        super().__init__(name, domain, owner)
         # Exact types: a bool is an int to isinstance, and is not a time.
         if not all(type(t) in (int, float) and 0 <= t < math.inf for t in round_times):
             raise ValueError(f"owner round times must be numbers >= 0 and finite, got {round_times!r}")
         self.owner = owner
-        self.counters = owner.counters
-        self.hears = getattr(owner, "hears", None)
         self.round_times = round_times
         self.receipts = []
         self.rejects = owner.counters.rejects

@@ -116,12 +116,13 @@ def test_criterion_4_lazy_response_pooling(accept):
         }
     )
     built, _report = scenario.run_scenario(config, capture_frames=True)
-    responses = {}
+    responses, sent = {}, []
     for _, sender, frame in built.world.captured:
         if frame.payload.startswith(wire.ID_RESPONSE):
             responses[frame.payload] = wire.decode(frame.payload)
+        elif sender == "user0":
+            sent.append(wire.decode(frame.payload).nonce)
     assert len(responses) == 8  # ceil(1000 / 129)
-    sent = built.agent_nodes[0].sent_nonces
     assert len(sent) == 1000
     pooled = [n for msg in responses.values() for n in msg.pooled_nonces]
     for nonce in sent:  # brute-force coverage check, one by one

@@ -9,7 +9,8 @@ from random import Random
 
 import pytest
 
-from pulldisc import keytree, registration, wire
+import pulldisc
+from pulldisc import keytree, registration, simnet, wire
 from pulldisc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,6 +78,24 @@ def test_provision_settings_left_out_take_the_records_defaults(tmp_path, capsys)
     assert {key: record[key] for key in defaults} == defaults
     _, record = _provisioned(tmp_path / "given", "--t-att", "50", "--pool-max", "7")
     assert {key: record[key] for key in defaults} == dict(defaults, t_att=50.0, pool_max=7)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--pool-max", "0"], ["--t-att", "nan"], ["--t-gen", "-1"]],
+    ids=["pool-max", "t-att", "t-gen"],
+)
+def test_provision_bad_setting_writes_no_directory(tmp_path, capsys, flags):
+    out = tmp_path / "d"
+    assert main(["provision", "--out", str(out), "--count", "2", "--seed", "1", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_version_flag_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"pulldisc {pulldisc.__version__}\n"
 
 
 def test_scan_prints_json_lines(tmp_path, capsys):
@@ -190,6 +209,20 @@ def test_im_solicit_naive_and_lkh(capsys):
     assert all(l["trials"] == 0 for l in lines)
 
 
+def test_im_solicit_delivers_every_response_through_the_owner_node(capsys, monkeypatch):
+    delivered = []
+    handle_deliver = simnet.OwnerNode.handle_deliver
+
+    def counted(node, frame, now):
+        delivered.append(frame.payload)
+        handle_deliver(node, frame, now)
+
+    monkeypatch.setattr(simnet.OwnerNode, "handle_deliver", counted)
+    assert main(["im", "solicit", "--devices", "6", "--seed", "4", "--mode", "lkh"]) == 0
+    assert len(delivered) == len(capsys.readouterr().out.splitlines()) == 6
+    assert all(p.startswith(wire.ID_IM_RESPONSE) for p in delivered)
+
+
 # SHA-256 of the whole stdout, pinned so the owner's enrollment and
 # retrieval paths cannot move a receipt, a trial count or a PRF count.
 @pytest.mark.parametrize(
@@ -254,6 +287,10 @@ def test_wire_decode_bad_hex(capsys):
         (["im", "solicit", "--p", "1", "--mode", "lkh", "--seed", "1"], "arity must be at least 2"),
         (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", "a,b"],
          "invalid literal"),
+        (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", ""],
+         "invalid literal"),
+        (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", "1,1"],
+         "--sweep repeats a seed"),
         (["analytic", "ubusy", "--t-req", "0"], "must be positive"),
         (["analytic", "ubusy", "--t-req", "nan"], "must be positive and finite"),
         (["analytic", "table1", "--t-ann", "nan"], "t_ann must be finite"),
@@ -268,8 +305,8 @@ def test_wire_decode_bad_hex(capsys):
         (["scenario", "run", "--config", "not-utf8.json"], "scenario file not-utf8.json"),
     ],
     ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
-         "sweep-not-seeds", "ubusy-zero-interval", "ubusy-nan-interval", "table1-nan-cost",
-         "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
+         "sweep-not-seeds", "sweep-empty", "sweep-repeated", "ubusy-zero-interval",
+         "ubusy-nan-interval", "table1-nan-cost", "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
          "scenario-config-directory", "scan-config-directory", "provision-negative-count",
          "scenario-config-not-utf8"],
 )

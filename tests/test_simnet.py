@@ -366,7 +366,7 @@ def test_receive_state_stays_bounded_over_an_hour():
 
     world.schedule_action(0.0, sample)
     world.run_until(3600.0)
-    sent = sum(len(node.sent_nonces) for node in built.agent_nodes)
+    sent = sum(node.counters.tx_frames for node in built.agent_nodes)
     reports = sum(len(node.deduped_reports()) for node in built.agent_nodes)
     assert sent > 150 and reports > 150
     assert peaks["pending"] <= 4
@@ -378,7 +378,7 @@ def test_receive_state_stays_bounded_over_an_hour():
 
 
 # Run outputs grow with the horizon by design; everything else must not.
-_RUN_OUTPUTS = {"reports", "latencies", "sent_nonces", "discards"}
+_RUN_OUTPUTS = {"reports", "latencies", "discards"}
 
 
 def _container_sizes(node: simnet.AgentNode) -> dict[str, int]:
