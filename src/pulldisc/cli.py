@@ -47,6 +47,9 @@ def _cmd_provision(args) -> int:
     store = registration.ManifestStore()
     records = []
     settings = {k: getattr(args, k) for k in ("t_att", "t_gen", "pool_max") if k in args}
+    # The record checks its own settings; one built up front refuses a bad
+    # setting even when --count 0 builds no other.
+    registration.DeviceProvisioningRecord(mfr, b"", b"", **settings)
     for i in range(args.count):
         descriptor = registration.DeviceDescriptor(
             device_type=args.device_type,

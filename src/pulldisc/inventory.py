@@ -15,6 +15,7 @@ import enum
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from random import Random
@@ -76,7 +77,7 @@ class ImDevice:
         record: ImProvisioningRecord,
         device_info: bytes,
         memory_image: bytearray | bytes,
-        rng: Random,
+        seed: int,
         lkh_vector: tuple[bytes, ...] | None = None,
     ):
         _device_id(device_info)  # checks the length
@@ -85,9 +86,15 @@ class ImDevice:
         self.record = record
         self.device_info = device_info
         self.memory_image = bytearray(memory_image)
-        self.rng = rng
+        self.seed = seed
         self.lkh_vector = lkh_vector
         self.counters = Counters()
+
+    @cached_property
+    def rng(self) -> Random:
+        """The IV generator, built at the first response: seeding one costs
+        about half an enrollment, and most enrolled devices never answer."""
+        return Random(self.seed)
 
     def respond(self, payload: bytes) -> bytes | None:
         """Handle one frame; returns an encoded response or None (silent drop)."""
@@ -175,7 +182,9 @@ class Owner:
     def _enroll(self, record: ImProvisioningRecord, device_info: bytes, software_image: bytes,
                 rng: Random, lkh_vector: tuple[bytes, ...] | None = None) -> ImDevice:
         # Built first: a device info it refuses leaves the owner unchanged.
-        device = ImDevice(record, device_info, software_image, _child_rng(rng), lkh_vector)
+        # Its seed is drawn before that check, so a refused device info
+        # still takes its draws.
+        device = ImDevice(record, device_info, software_image, rng.getrandbits(64), lkh_vector)
         self._remember(device_info[:DEVICE_ID_LEN], record.shared_key)
         return device
 
@@ -313,7 +322,3 @@ def _check_unique(device_ids: Sequence[bytes]) -> None:
     repeated = sorted(d.hex() for d, count in Counter(device_ids).items() if count > 1)
     if repeated:
         raise ValueError(f"duplicate device id(s) {repeated}")
-
-
-def _child_rng(rng: Random) -> Random:
-    return Random(rng.getrandbits(64))

@@ -302,13 +302,15 @@ def test_wire_decode_bad_hex(capsys):
         (["scenario", "run", "--config", str(SCENARIOS)], "cannot read scenario file"),
         (["scan", "--config", str(SCENARIOS)], "cannot read scenario file"),
         (["provision", "--out", "out", "--count", "-1", "--seed", "1"], "--count must be >= 0"),
+        (["provision", "--out", "out", "--count", "0", "--seed", "1", "--pool-max", "0"],
+         "pool_max must be an integer"),
         (["scenario", "run", "--config", "not-utf8.json"], "scenario file not-utf8.json"),
     ],
     ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
          "sweep-not-seeds", "sweep-empty", "sweep-repeated", "ubusy-zero-interval",
          "ubusy-nan-interval", "table1-nan-cost", "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
          "scenario-config-directory", "scan-config-directory", "provision-negative-count",
-         "scenario-config-not-utf8"],
+         "provision-count-0-bad-pool-max", "scenario-config-not-utf8"],
 )
 def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # relative paths name nothing, and nothing is written to the repo
@@ -317,6 +319,7 @@ def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # the --out of every provision case
 
 
 def test_internal_index_error_is_not_a_bad_argument(monkeypatch):

@@ -1,6 +1,7 @@
 """Inventory variant: authenticated requests, sealed uniform responses,
 and owner-side identification in both retrieval modes."""
 
+import hashlib
 from collections import Counter
 from random import Random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulldisc import crypto, keytree, wire
+from pulldisc import crypto, inventory, keytree, wire
 from pulldisc.inventory import (
     ImDiscard,
     ImReceipt,
@@ -511,3 +512,77 @@ def test_respond_decodes_only_im_requests(naive_fleet, monkeypatch):
     assert decoded == []
     assert devices[0].respond(request) is not None
     assert decoded == [request]
+
+
+def _first_two_responses(mode):
+    """Enroll three devices (plus one refused device info) from the owner's
+    own generator, draw from it once more, then have every device answer two
+    requests. Returns the generator's state right after enrollment and each
+    device's two response payloads."""
+    owner = Owner(crypto.generate_keypair(Random(71)), Random(72))
+    infos = [info(i) for i in range(3)]
+    if mode == "naive":
+        devices = [owner.enroll_naive(infos[0], b"pinned image", owner.rng)]
+        with pytest.raises(ValueError):  # refused after its key and seed draws
+            owner.enroll_naive(b"unit-too-short", b"pinned image", owner.rng)
+        devices += [owner.enroll_naive(i, b"pinned image", owner.rng) for i in infos[1:]]
+    else:
+        with pytest.raises(ValueError):  # refused before any draw
+            owner.enroll_lkh_fleet([*infos, b"unit-too-short"], b"pinned image", 2, owner.rng)
+        devices = owner.enroll_lkh_fleet(infos, b"pinned image", 2, owner.rng)
+    state = owner.rng.getstate()
+    owner.rng.getrandbits(64)  # a device that drew its seed late would see this
+    requests = [owner.make_request(), owner.make_request()]
+    return state, [b"".join(device.respond(r) for r in requests) for device in devices]
+
+
+# SHA-256 of the enrolling generator's state and of each device's first two
+# response payloads, pinned so that how a device keeps its IV generator
+# cannot move a sealed byte or an enrollment draw.
+@pytest.mark.parametrize(
+    "mode, state_digest, payload_digests",
+    [
+        (
+            "naive",
+            "c159c653d301a705abcdb4d7ac419721148b4b92a12ab3ee72a1b657bc5f5198",
+            [
+                "57efed36abead7a99efdd42171c1532b1536cf4e09c1e45b7a597c1d4fff3e72",
+                "acb6c2d22171d9ada964acdb14c0962e15a2500b3d3c7ce7045029a38e977e17",
+                "ec9652e367db848126422415a0aa372a996adccd93b77adc9094c5a5dc947ade",
+            ],
+        ),
+        (
+            "lkh",
+            "875452cb58a1bdb7f2d34a4a5706c46b4692a6f01bd62b1c47d395fc8592e074",
+            [
+                "a1675fc37e978350d646e3e8673c1854a48bdedd91e9cfecba485b1d5ef8378d",
+                "b6e554e8f374299638da6e2a04171deeaeed040d50dd5ee8bea5784c667ea045",
+                "c7b07c4e091a10c54e313eb54e860a7ba7578c9a594dab8056d799be51ee9525",
+            ],
+        ),
+    ],
+)
+def test_enrollment_draws_and_sealed_bytes_pinned(mode, state_digest, payload_digests):
+    state, payloads = _first_two_responses(mode)
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == state_digest
+    assert [hashlib.sha256(p).hexdigest() for p in payloads] == payload_digests
+
+
+def test_a_device_builds_its_generator_at_its_first_response(monkeypatch):
+    built = []
+
+    class CountingRandom(Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(inventory, "Random", CountingRandom)
+    rng = Random(81)
+    owner = Owner(crypto.generate_keypair(rng), Random(82))
+    devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(1000)]
+    assert built == []
+    request = owner.make_request()
+    assert devices[7].respond(request) is not None
+    assert len(built) == 1
+    assert devices[7].respond(request) is not None
+    assert len(built) == 1
