@@ -19,11 +19,10 @@ checked again is caught by `crypto.verify`'s verdict cache.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from random import Random
 
-from . import crypto, registration, wire
+from . import crypto, ranges, registration, wire
 
 
 class DiscardReason(enum.Enum):
@@ -83,8 +82,7 @@ class UserAgent:
         rng: Random,
         scan_window: float = 10.0,
     ):
-        if type(scan_window) is bool or not 0 < scan_window < math.inf:  # a bool is an int to Python
-            raise ValueError(f"scan_window must be positive and finite, got {scan_window!r}")
+        ranges.check(scan_window=scan_window)
         self.trust_keys = trust_keys
         self.store = store
         self.rng = rng

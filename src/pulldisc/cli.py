@@ -24,7 +24,8 @@ import sys
 from pathlib import Path
 from random import Random
 
-from . import __version__, analytics, crypto, inventory, keytree, registration, scenario, simnet, wire
+from . import (__version__, analytics, crypto, inventory, keytree, ranges, registration, scenario,
+               simnet, wire)
 
 CONFIG_DIR_ENV = "PULLDISC_CONFIG_DIR"
 
@@ -47,9 +48,8 @@ def _cmd_provision(args) -> int:
     store = registration.ManifestStore()
     records = []
     settings = {k: getattr(args, k) for k in ("t_att", "t_gen", "pool_max") if k in args}
-    # The record checks its own settings; one built up front refuses a bad
-    # setting even when --count 0 builds no other.
-    registration.DeviceProvisioningRecord(mfr, b"", b"", **settings)
+    # Checked up front too, so that --count 0, which builds no record, refuses a bad setting.
+    ranges.check(**settings)
     for i in range(args.count):
         descriptor = registration.DeviceDescriptor(
             device_type=args.device_type,

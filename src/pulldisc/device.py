@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 
-from . import crypto, wire
+from . import crypto, ranges, wire
 from .registration import DeviceProvisioningRecord
 
 
@@ -78,14 +77,7 @@ class BlendPolicy:
     announce_interval: float
 
     def __post_init__(self):
-        if bool in map(type, vars(self).values()):
-            raise ValueError("blend settings must be numbers, not true or false")
-        # Written as `not x > 0` so that NaN fails too.
-        if not (self.switch_threshold > 0 and self.window > 0):
-            raise ValueError("blend threshold and window must be positive")
-        if not (self.push_period > 0 and 0 < self.announce_interval < math.inf):
-            raise ValueError("blend push period must be positive, "
-                             "and announce interval positive and finite")
+        ranges.check(**vars(self))
 
 
 @dataclass
@@ -110,33 +102,6 @@ class Counters:
     rejects: dict[str, int] = field(default_factory=dict)
 
 
-# The range of each optional `Device` setting, as (test, rule).
-_OPTION_RANGES = {
-    "t_res": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-    "t_att_exec": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-    "announce_interval": (lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "announce_wire_size": (
-        lambda v: type(v) is int and wire.RESPONSE_BASE_LEN <= v <= wire.MAX_PAYLOAD,
-        f"must be an integer in [{wire.RESPONSE_BASE_LEN}, {wire.MAX_PAYLOAD}]",
-    ),
-    "pool_tmp_cap": (
-        lambda v: v is None or (type(v) is int and v >= 0), "must be null or an integer >= 0"
-    ),
-}
-
-
-def check_options(**options) -> None:
-    """Raise ValueError for any given `Device` setting outside its range."""
-    for name, value in options.items():
-        within, rule = _OPTION_RANGES[name]
-        try:
-            ok = type(value) is not bool and within(value)  # a bool is an int to Python
-        except TypeError:  # not a number
-            ok = False
-        if not ok:
-            raise ValueError(f"{name} {rule}, got {value!r}")
-
-
 class Device:
     """One pull/push/blend device instance; single-threaded by contract."""
 
@@ -157,7 +122,7 @@ class Device:
         if (mode is Mode.BLEND) != (blend is not None):
             raise ValueError("mode 'blend' needs a blend policy, "
                              "and a blend policy needs mode 'blend'")
-        check_options(
+        ranges.check(
             t_res=t_res,
             t_att_exec=t_att_exec,
             announce_interval=announce_interval,
@@ -177,7 +142,6 @@ class Device:
 
         self.pool: list[bytes] = []
         self.pool_tmp: list[bytes] = []
-        self.in_gen = False
         self.gen_deadline: float | None = None
         self.pending_att = False
         self.pending_gen = False
@@ -190,6 +154,11 @@ class Device:
         # Only one announcement timer chain may be live; ticks that do not
         # match this timestamp are stale leftovers of a finished chain.
         self._next_announce_at: float | None = None
+
+    @property
+    def in_gen(self) -> bool:
+        """Whether a `t_res` window is open (its transmit not yet sent)."""
+        return self._pending_tx is not None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -309,7 +278,6 @@ class Device:
 
     def _occupy(self, transmit: Transmit, now: float) -> SetTimer:
         """Hold the radio for `t_res`; `transmit` goes out when it ends."""
-        self.in_gen = True
         self.counters.busy_seconds += self.t_res
         self._pending_tx = transmit
         return SetTimer(TimerKind.GEN_COMPLETE, now + self.t_res)
@@ -325,7 +293,6 @@ class Device:
         assert self._pending_tx is not None
         actions: list[Action] = [self._pending_tx]
         self._pending_tx = None
-        self.in_gen = False
 
         # Drain one pool-sized block of the overflow list into the pool.
         space = self.provisioning.pool_max - len(self.pool)

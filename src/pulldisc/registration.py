@@ -12,13 +12,12 @@ hex-encoded, and signatures always cover the exact stored bytes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping
 
-from . import crypto, wire
+from . import crypto, ranges, wire
 
 _TOKEN_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 _TOKEN_RETRIES = 32
@@ -150,17 +149,7 @@ class DeviceProvisioningRecord:
     pool_max: int = wire.RESPONSE_MAX_NONCES
 
     def __post_init__(self):
-        pool_max, t_att, t_gen = self.pool_max, self.t_att, self.t_gen
-        if not (type(pool_max) is int and 1 <= pool_max <= wire.RESPONSE_MAX_NONCES):
-            raise ProvisioningError(
-                f"pool_max must be an integer in [1, {wire.RESPONSE_MAX_NONCES}], got {pool_max!r}"
-            )
-        if type(t_att) is bool or not 0 < t_att < math.inf:  # a bool is an int to Python
-            raise ProvisioningError(
-                f"attestation interval must be positive and finite, got {t_att!r}"
-            )
-        if type(t_gen) is bool or not 0 <= t_gen < math.inf:
-            raise ProvisioningError(f"response delay must be >= 0 and finite, got {t_gen!r}")
+        ranges.check(ProvisioningError, pool_max=self.pool_max, t_att=self.t_att, t_gen=self.t_gen)
 
 
 @dataclass(frozen=True)

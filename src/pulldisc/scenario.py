@@ -8,7 +8,6 @@ rejected outright so a typo cannot silently change an experiment.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
@@ -17,7 +16,7 @@ from typing import Any
 from . import agent as agent_mod
 from . import crypto
 from . import device as device_mod
-from . import registration, simnet
+from . import ranges, registration, simnet
 
 
 class ConfigError(ValueError):
@@ -92,12 +91,8 @@ class ScenarioConfig:
         if not isinstance(doc, dict):
             raise ConfigError("scenario must be a JSON object")
         _require_keys(doc, {f.name for f in fields(cls)}, "scenario")
-        # Exact types: a bool is an int to isinstance, and would pass.
-        if type(doc.get("seed")) is not int:
-            raise ConfigError("scenario requires an explicit integer seed")
         horizon = doc.get("horizon")
-        if not (type(horizon) in (int, float) and 0 < horizon < math.inf):
-            raise ConfigError("scenario requires a positive, finite horizon")
+        _check("scenario", lambda: ranges.check(seed=doc.get("seed"), horizon=horizon))
         mode = doc.get("mode", "db")
         if mode != "db":
             raise ConfigError(f"unsupported scenario mode {mode!r}; only 'db' runs "

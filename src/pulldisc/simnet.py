@@ -37,7 +37,7 @@ from typing import Callable
 
 from . import agent as agent_mod
 from . import device as device_mod
-from . import wire
+from . import ranges, wire
 from .inventory import ImDevice, ImReceipt, Owner
 
 # Event priorities at equal times: deliveries, device timers, other calls.
@@ -60,18 +60,14 @@ class LinkConfig:
     manifest_fetch_delay: float = 1.3
 
     def __post_init__(self):
-        if type(self.p_loss) is bool or not 0.0 <= self.p_loss <= 1.0:  # a bool is an int to Python
-            raise ValueError(f"p_loss must be within [0, 1], got {self.p_loss!r}")
         # A negative latency would schedule a delivery before its broadcast,
-        # an infinite one would never deliver.
-        if (bool in (type(self.latency_min), type(self.latency_max))
-                or not 0.0 <= self.latency_min <= self.latency_max < math.inf):
-            raise ValueError("latencies must satisfy 0 <= latency_min <= latency_max < inf, "
+        # an infinite one would never deliver. The fetch delay is added to
+        # every latency, which metrics.json must write as a number.
+        ranges.check(p_loss=self.p_loss, latency_min=self.latency_min,
+                     latency_max=self.latency_max, manifest_fetch_delay=self.manifest_fetch_delay)
+        if not self.latency_min <= self.latency_max:
+            raise ValueError("latency_min must be <= latency_max, "
                              f"got {self.latency_min!r} and {self.latency_max!r}")
-        # It is added to every latency, which metrics.json must write as a number.
-        if type(self.manifest_fetch_delay) is bool or not 0.0 <= self.manifest_fetch_delay < math.inf:
-            raise ValueError("manifest_fetch_delay must be >= 0 and finite, "
-                             f"got {self.manifest_fetch_delay!r}")
         if type(self.randomize_addresses) is not bool:
             raise ValueError(
                 f"randomize_addresses must be true or false, got {self.randomize_addresses!r}")
@@ -337,16 +333,10 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in ("periodic", "poisson", "burst"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if bool in (type(self.interval), type(self.start)):
-            raise ValueError("arrival interval and start must be numbers, not true or false")
-        if self.kind != "burst" and not 0 < self.interval < math.inf:
-            # A zero interval would repeat one instant forever.
-            raise ValueError(f"{self.kind} arrival interval must be positive and finite, "
-                             f"got {self.interval!r}")
-        if not 0 <= self.start < math.inf:
-            raise ValueError(f"arrival start must be >= 0 and finite, got {self.start!r}")
-        if not (self.count is None or (type(self.count) is int and self.count >= 0)):
-            raise ValueError(f"arrival count must be null or an integer >= 0, got {self.count!r}")
+        ranges.check(interval=self.interval, start=self.start, count=self.count)
+        # A zero interval would repeat one instant forever; a burst never reads it.
+        if self.kind != "burst" and self.interval == 0:
+            raise ValueError(f"{self.kind} interval must be positive, got {self.interval!r}")
 
     def times(self, rng: Random):
         """Request times in order, without end unless `count` caps them."""
@@ -463,7 +453,7 @@ class ImDeviceNode(Node):
         self, name: str, device: ImDevice, t_res: float = 0.233, domain: str = "default"
     ):
         super().__init__(name, domain, device)
-        device_mod.check_options(t_res=t_res)
+        ranges.check(t_res=t_res)
         self.device = device
         self.t_res = t_res
         self._busy_until = 0.0
@@ -490,9 +480,8 @@ class OwnerNode(Node):
         domain: str = "default",
     ):
         super().__init__(name, domain, owner)
-        # Exact types: a bool is an int to isinstance, and is not a time.
-        if not all(type(t) in (int, float) and 0 <= t < math.inf for t in round_times):
-            raise ValueError(f"owner round times must be numbers >= 0 and finite, got {round_times!r}")
+        for t in round_times:
+            ranges.check(round_times=t)
         self.owner = owner
         self.round_times = round_times
         self.receipts = []
@@ -533,8 +522,7 @@ class AdversaryNode(Node):
         super().__init__(name, domain)
         if behavior not in ("flood", "replay", "forge_response", "forge_request"):
             raise ValueError(f"unknown adversary behavior {behavior!r}")
-        if type(rate) is bool or not 0 < rate < math.inf:
-            raise ValueError(f"adversary rate must be positive and finite, got {rate!r}")
+        ranges.check(rate=rate, stop=stop, record_until=record_until)
         self.behavior = behavior
         if behavior != "replay":
             self.hears = frozenset()  # only a replayer uses what it receives
@@ -543,16 +531,10 @@ class AdversaryNode(Node):
         self.stop = stop
         self.record_until = record_until
         if not isinstance(replay_at, (list, tuple, type(None))):
-            raise TypeError(f"adversary replay_at must be a list of times, got {replay_at!r}")
+            raise ValueError(f"replay_at must be a list of times, got {replay_at!r}")
         self.replay_at = list(replay_at or [])
-        # Exact types: a bool is an int to isinstance, and is not a time.
-        if not all(type(t) in (int, float) for t in (stop, record_until, *self.replay_at)):
-            raise TypeError("adversary stop, record_until and replay_at times must be numbers")
-        if math.isnan(stop) or math.isnan(record_until):
-            raise ValueError("adversary stop and record_until must not be NaN")
-        if not all(0 <= t < math.inf for t in self.replay_at):
-            raise ValueError(
-                f"adversary replay_at times must be >= 0 and finite, got {self.replay_at!r}")
+        for t in self.replay_at:
+            ranges.check(replay_at=t)
         self.recorded: list[bytes] = []
 
     def start(self, now: float) -> None:
