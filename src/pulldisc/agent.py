@@ -9,9 +9,9 @@ typed discard reason and no partial report ever escapes:
 Announcements from push/blend devices go through the same pipeline minus
 the nonce check and are marked with their source.
 
-An agent decodes a payload once per delivery: it keeps the last payload
-and its decoded message, so the request-nonce lookup and the reports for
-each pending request it pools share one decode. Only manifest verdicts are
+An agent decodes a payload once per delivery: it keeps the last payload,
+its message and the set of nonces it pools, which the request-nonce lookup
+and the reports for each pending request share. Only manifest verdicts are
 memoised, per agent because users verify independently. A signature
 checked again is caught by `crypto.verify`'s verdict cache.
 """
@@ -87,9 +87,9 @@ class UserAgent:
         self.store = store
         self.rng = rng
         self.scan_window = scan_window
-        # The last payload and its message, None when it does not decode
-        # (as the empty payload does not).
-        self._decoded: tuple[bytes, wire.WireMessage | None] = (b"", None)
+        # The last payload, its message (None when it does not decode, as
+        # the empty payload does not) and the nonces a response pools.
+        self._decoded = (b"", None, frozenset())
         # Keyed on the exact stored (manifest bytes, signature). The store
         # never replaces an entry, so this holds at most one verdict per
         # token; an unknown token is looked up again on every call.
@@ -103,9 +103,9 @@ class UserAgent:
     def on_response(
         self, pending: PendingRequest, payload: bytes, now: float
     ) -> DeviceReport | DiscardReason:
-        message = self._decode(payload)
+        message, pooled = self._decode(payload)
         if isinstance(message, wire.ResponseMsg):
-            if pending.nonce not in message.pooled_nonces:
+            if pending.nonce not in pooled:
                 return DiscardReason.STALE_OR_REPLAY
             source = ReportSource.RESPONSE
         elif isinstance(message, wire.AnnouncementMsg):
@@ -139,21 +139,21 @@ class UserAgent:
             device_nonce=message.device_nonce,
         )
 
-    def pooled_nonces(self, payload: bytes) -> tuple[bytes, ...] | None:
+    def pooled_nonces(self, payload: bytes) -> frozenset[bytes] | None:
         """Request nonces a response pools, or None if the payload does
         not decode as a response."""
-        message = self._decode(payload)
-        return message.pooled_nonces if isinstance(message, wire.ResponseMsg) else None
+        message, pooled = self._decode(payload)
+        return pooled if isinstance(message, wire.ResponseMsg) else None
 
-    def _decode(self, payload: bytes) -> wire.WireMessage | None:
-        last, message = self._decoded
-        if payload != last:
+    def _decode(self, payload: bytes) -> tuple[wire.WireMessage | None, frozenset[bytes]]:
+        if payload != self._decoded[0]:
             try:
                 message = wire.decode(payload)
             except wire.WireError:
                 message = None
-            self._decoded = (payload, message)
-        return message
+            nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
+            self._decoded = (payload, message, frozenset(nonces))
+        return self._decoded[1:]
 
     def _verified_manifest(
         self, manifest_bytes: bytes, signature: bytes

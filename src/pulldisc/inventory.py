@@ -26,20 +26,14 @@ from .device import Counters
 from .registration import ImProvisioningRecord, provision_im_device
 
 DEVICE_ID_LEN = 12
+_INFO_PAD = bytes(wire.IM_DEVICE_INFO_LEN - DEVICE_ID_LEN - 4)
 
 
 def build_device_info(device_id: bytes, type_code: int, sw_version: int) -> bytes:
     """Fixed-layout device info: id(12) | type(2) | version(2) | zero pad."""
     if len(device_id) != DEVICE_ID_LEN:
         raise ValueError(f"device id must be {DEVICE_ID_LEN} bytes")
-    packed = device_id + struct.pack(">HH", type_code, sw_version)
-    return packed + bytes(wire.IM_DEVICE_INFO_LEN - len(packed))
-
-
-def _device_id(device_info: bytes) -> bytes:
-    if len(device_info) != wire.IM_DEVICE_INFO_LEN:
-        raise ValueError(f"device info must be {wire.IM_DEVICE_INFO_LEN} bytes")
-    return device_info[:DEVICE_ID_LEN]
+    return device_id + struct.pack(">HH", type_code, sw_version) + _INFO_PAD
 
 
 def parse_device_info(info: bytes) -> tuple[bytes, int, int]:
@@ -80,7 +74,8 @@ class ImDevice:
         seed: int,
         lkh_vector: tuple[bytes, ...] | None = None,
     ):
-        _device_id(device_info)  # checks the length
+        if len(device_info) != wire.IM_DEVICE_INFO_LEN:
+            raise ValueError(f"device info must be {wire.IM_DEVICE_INFO_LEN} bytes")
         if lkh_vector is not None and lkh_vector[-1] != record.shared_key:
             raise ValueError("tree leaf key must equal the provisioned shared key")
         self.record = record
@@ -88,7 +83,11 @@ class ImDevice:
         self.memory_image = bytearray(memory_image)
         self.seed = seed
         self.lkh_vector = lkh_vector
-        self.counters = Counters()
+
+    @cached_property
+    def counters(self) -> Counters:
+        """Built at first use, as `rng` is: most enrolled devices never tally."""
+        return Counters()
 
     @cached_property
     def rng(self) -> Random:
@@ -151,14 +150,18 @@ class Owner:
         self._scan_order: list[int] = []
         self._scan_keys: list[bytes] = []
         self._responders: set[int] = set()  # indices with a receipt since the last request
+        self._image: tuple[bytes | None, bytes] = (None, b"")  # the last image enrolled, hashed
 
     # -- enrollment ---------------------------------------------------------
 
     def enroll_naive(
         self, device_info: bytes, software_image: bytes, rng: Random
     ) -> ImDevice:
-        """Provision one device with a fresh random shared key."""
-        record = provision_im_device(self.keypair.public_key, software_image, rng)
+        """Provision one device with a fresh random shared key. A fleet shares
+        one image, so its digest is reused while the image compares equal."""
+        if software_image != self._image[0]:  # kept as bytes: a bytearray may change
+            self._image = (bytes(software_image), crypto.hash_image(software_image))
+        record = provision_im_device(self.keypair.public_key, self._image[1], rng)
         return self._enroll(record, device_info, software_image, rng)
 
     def enroll_lkh_fleet(
@@ -167,14 +170,15 @@ class Owner:
         """Build the key tree and provision every device from its leaf."""
         if self.key_table:
             raise ValueError("fleet already enrolled")
-        _check_unique([_device_id(info) for info in device_infos])
+        if any(len(info) != wire.IM_DEVICE_INFO_LEN for info in device_infos):
+            raise ValueError(f"device info must be {wire.IM_DEVICE_INFO_LEN} bytes")
+        _check_unique([info[:DEVICE_ID_LEN] for info in device_infos])
         tree = keytree.build_tree(len(device_infos), p, rng)
         software_hash = crypto.hash_image(software_image)
         devices = []
         for index, info in enumerate(device_infos):
-            key = tree.leaf_key(index)
-            record = ImProvisioningRecord(self.keypair.public_key, key, software_hash)
-            vector = keytree.device_key_vector(tree, index)
+            vector = keytree.device_key_vector(tree, index)  # ends with the leaf key
+            record = ImProvisioningRecord(self.keypair.public_key, vector[-1], software_hash)
             devices.append(self._enroll(record, info, software_image, rng, vector))
         self.tree = tree
         return devices

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import crypto, ranges, wire
 
@@ -69,6 +70,9 @@ class CertRecord:
         )
 
 
+# RFC 6979 signing is deterministic, so the memo is exact: every manifest of
+# one manufacturer shares one signed self-certificate (`CertRecord` is frozen).
+@lru_cache(maxsize=16)
 def issue_cert(subject: str, subject_key: bytes, issuer: crypto.KeyPair) -> CertRecord:
     sig = crypto.sign(issuer.private_key, _cert_signing_bytes(subject, subject_key))
     return CertRecord(subject, subject_key, issuer.public_key, sig)
@@ -152,8 +156,7 @@ class DeviceProvisioningRecord:
         ranges.check(ProvisioningError, pool_max=self.pool_max, t_att=self.t_att, t_gen=self.t_gen)
 
 
-@dataclass(frozen=True)
-class ImProvisioningRecord:
+class ImProvisioningRecord(NamedTuple):
     """Inventory-mode secret record: owner key, shared key, software hash."""
 
     owner_public_key: bytes
@@ -269,13 +272,11 @@ def provision_db_device(
 
 
 def provision_im_device(
-    owner_public_key: bytes, software_image: bytes, rng: Random
+    owner_public_key: bytes, software_hash: bytes, rng: Random
 ) -> ImProvisioningRecord:
     """Inventory-mode provisioning: fresh shared key, no manifest or URL."""
     return ImProvisioningRecord(
-        owner_public_key=owner_public_key,
-        shared_key=rng.randbytes(crypto.SYMMETRIC_KEY_LEN),
-        software_hash=crypto.hash_image(software_image),
+        owner_public_key, rng.randbytes(crypto.SYMMETRIC_KEY_LEN), software_hash
     )
 
 

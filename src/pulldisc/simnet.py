@@ -446,6 +446,15 @@ class AgentNode(Node):
         return agent_mod.dedup(self.reports)
 
 
+def _times(name: str, times) -> list[float]:
+    """A copy of the list of event times `name`, each one range-checked."""
+    if not isinstance(times, (list, tuple)):
+        raise ValueError(f"{name} must be a list of times, got {times!r}")
+    for t in times:
+        ranges.check(**{name: t})
+    return list(times)
+
+
 class ImDeviceNode(Node):
     """Inventory device with a serialized processing queue."""
 
@@ -480,10 +489,8 @@ class OwnerNode(Node):
         domain: str = "default",
     ):
         super().__init__(name, domain, owner)
-        for t in round_times:
-            ranges.check(round_times=t)
         self.owner = owner
-        self.round_times = round_times
+        self.round_times = _times("round_times", round_times)
         self.receipts = []
         self.rejects = owner.counters.rejects
 
@@ -530,11 +537,7 @@ class AdversaryNode(Node):
         self.rate = rate
         self.stop = stop
         self.record_until = record_until
-        if not isinstance(replay_at, (list, tuple, type(None))):
-            raise ValueError(f"replay_at must be a list of times, got {replay_at!r}")
-        self.replay_at = list(replay_at or [])
-        for t in self.replay_at:
-            ranges.check(replay_at=t)
+        self.replay_at = _times("replay_at", [] if replay_at is None else replay_at)
         self.recorded: list[bytes] = []
 
     def start(self, now: float) -> None:

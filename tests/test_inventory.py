@@ -586,3 +586,49 @@ def test_a_device_builds_its_generator_at_its_first_response(monkeypatch):
     assert len(built) == 1
     assert devices[7].respond(request) is not None
     assert len(built) == 1
+
+
+def test_each_device_attests_against_its_own_image():
+    # The owner reuses the last image's digest only while the next image
+    # compares equal, so alternating images, one of them a bytearray that
+    # changes between enrollments, still give every device its own hash.
+    rng = Random(91)
+    owner = Owner(crypto.generate_keypair(rng), Random(92))
+    images = [b"image A" * 40, bytearray(b"image B" * 40)]
+    devices = [owner.enroll_naive(info(i), images[i % 2], rng) for i in range(4)]
+    expected = [crypto.hash_image(bytes(images[i % 2])) for i in range(4)]
+    images[1][0] ^= 1
+    devices.append(owner.enroll_naive(info(4), images[1], rng))
+    expected.append(crypto.hash_image(bytes(images[1])))
+    assert [device.record.software_hash for device in devices] == expected
+    assert expected[3] != expected[4]
+
+    devices[2].memory_image[0] ^= 1
+    request = owner.make_request()
+    results = [owner.receive(device.respond(request)).att_result for device in devices]
+    assert results == [wire.ATT_SUCCESS, wire.ATT_SUCCESS, wire.ATT_FAIL] + [wire.ATT_SUCCESS] * 2
+
+
+def test_enrollment_hashes_one_image_once_and_builds_no_counters(monkeypatch):
+    rng = Random(93)
+    owner = Owner(crypto.generate_keypair(rng), Random(94))
+    hashed, built = [], []
+    hash_image = crypto.hash_image
+
+    def counting_hash(image):
+        hashed.append(image)
+        return hash_image(image)
+
+    class CountingCounters(inventory.Counters):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(crypto, "hash_image", counting_hash)
+    monkeypatch.setattr(inventory, "Counters", CountingCounters)
+    devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(1000)]
+    assert hashed == [b"img"]
+    assert built == []
+    assert devices[7].respond(owner.make_request()) is not None
+    assert len(built) == 1 and built[0] is devices[7].counters
+    assert devices[7].counters.responses == 1

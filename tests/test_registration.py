@@ -120,8 +120,32 @@ def test_trust_file_roundtrip(tmp_path, mfr, rng):
 def test_im_provisioning_distinct_keys(rng):
     owner = crypto.generate_keypair(rng)
     records = [
-        registration.provision_im_device(owner.public_key, b"image", rng) for _ in range(1000)
+        registration.provision_im_device(owner.public_key, crypto.hash_image(b"image"), rng)
+        for _ in range(1000)
     ]
     assert len({r.shared_key for r in records}) == 1000
     assert all(r.software_hash == crypto.hash_image(b"image") for r in records)
     assert all(r.owner_public_key == owner.public_key for r in records)
+
+
+def test_one_manufacturer_certificate_signed_once(descriptor, store, rng, monkeypatch):
+    # A key no other test uses, so no earlier provisioning signed its certificate.
+    mfr = crypto.generate_keypair(Random("one manufacturer certificate"))
+    signed = []
+    sign = crypto.sign
+
+    def counting_sign(private_key, message):
+        signed.append(message)
+        return sign(private_key, message)
+
+    monkeypatch.setattr(crypto, "sign", counting_sign)
+    manifests = []
+    for _ in range(2):
+        record = registration.provision_db_device(mfr, descriptor, store=store, rng=rng)
+        manifest_bytes, signature = registration.resolve_manifest(store, record.url)
+        manifests.append(registration.verify_manifest(manifest_bytes, signature, [mfr.public_key]))
+    first, second = (m.mfr_certificate for m in manifests)
+    assert first.to_fields() == second.to_fields()
+    assert signed.count(b"mfr" + mfr.public_key) == 1
+    assert len(signed) == 5  # plus a device certificate and a manifest per device
+    assert registration.issue_cert("mfr", mfr.public_key, mfr) == first

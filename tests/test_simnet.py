@@ -273,10 +273,12 @@ def _owner(seed=5):
     return Owner(crypto.generate_keypair(Random(seed)), Random(seed + 1))
 
 
-@pytest.mark.parametrize("round_times", [[math.nan, 1.0], [-1.0], [math.inf], [True], ["1.0"]],
-                         ids=["nan", "negative", "infinite", "bool", "string"])
+@pytest.mark.parametrize(
+    "round_times", [[math.nan, 1.0], [-1.0], [math.inf], [True], ["1.0"], 5, None],
+    ids=["nan", "negative", "infinite", "bool", "string", "not-a-list", "none"],
+)
 def test_owner_refuses_bad_round_times(round_times):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="round_times"):
         simnet.OwnerNode("owner", _owner(), round_times)
 
 
@@ -582,12 +584,15 @@ def test_inventory_per_node_record_is_the_roles_own_counters():
     world = simnet.World(seed=3)
     owner_node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 2.0]))
     nodes = [world.add_node(simnet.ImDeviceNode(f"d{i}", d)) for i, d in enumerate(fleet)]
+    assert all(node.counters is node.device.counters for node in nodes)
     metrics = world.run_until(5.0)
     assert metrics.per_node["owner"] is owner_node.owner.counters
     assert owner_node.rejects is owner.counters.rejects
     for node in nodes:
         assert metrics.per_node[node.name] is node.device.counters
-        assert node.device.counters.responses == 2
+        assert node.device.counters.responses == 2  # tallied by the device
+        # and by the simulator: two requests and the other three devices' two responses each
+        assert node.device.counters.rx_frames == 8 and node.device.counters.tx_frames == 2
         assert node.device.counters.busy_seconds == pytest.approx(2 * node.t_res)
     assert owner.counters.requests == 2
     assert owner.counters.receipts == len(owner_node.receipts) == 8
