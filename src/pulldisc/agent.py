@@ -9,16 +9,19 @@ typed discard reason and no partial report ever escapes:
 Announcements from push/blend devices go through the same pipeline minus
 the nonce check and are marked with their source.
 
-An agent decodes a payload once per delivery: it keeps the last payload,
-its message and the set of nonces it pools, which the request-nonce lookup
-and the reports for each pending request share. Only manifest verdicts are
-memoised, per agent because users verify independently. A signature
-checked again is caught by `crypto.verify`'s verdict cache.
+A payload is decoded once for every user that hears it: `_decode` keeps
+the last few payloads with their message, the set of nonces a response
+pools and the signed region, which the request-nonce lookup, the reports
+for each pending request and the signature check share. Decoding is a
+parse, not a trust decision. Manifest verdicts are memoised per agent,
+because users verify independently. A signature checked again is caught
+by `crypto.verify`'s verdict cache.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from random import Random
 
@@ -87,9 +90,6 @@ class UserAgent:
         self.store = store
         self.rng = rng
         self.scan_window = scan_window
-        # The last payload, its message (None when it does not decode, as
-        # the empty payload does not) and the nonces a response pools.
-        self._decoded = (b"", None, frozenset())
         # Keyed on the exact stored (manifest bytes, signature). The store
         # never replaces an entry, so this holds at most one verdict per
         # token; an unknown token is looked up again on every call.
@@ -103,7 +103,7 @@ class UserAgent:
     def on_response(
         self, pending: PendingRequest, payload: bytes, now: float
     ) -> DeviceReport | DiscardReason:
-        message, pooled = self._decode(payload)
+        message, pooled, region = _decode(bytes(payload))
         if isinstance(message, wire.ResponseMsg):
             if pending.nonce not in pooled:
                 return DiscardReason.STALE_OR_REPLAY
@@ -124,9 +124,7 @@ class UserAgent:
         if manifest is DiscardReason.MANIFEST_INVALID:
             return manifest
 
-        if not crypto.verify(
-            manifest.device_public_key, wire.signed_region(message), message.signature
-        ):
+        if not crypto.verify(manifest.device_public_key, region, message.signature):
             return DiscardReason.SIGNATURE_INVALID
 
         return DeviceReport(
@@ -142,18 +140,8 @@ class UserAgent:
     def pooled_nonces(self, payload: bytes) -> frozenset[bytes] | None:
         """Request nonces a response pools, or None if the payload does
         not decode as a response."""
-        message, pooled = self._decode(payload)
+        message, pooled, _ = _decode(bytes(payload))
         return pooled if isinstance(message, wire.ResponseMsg) else None
-
-    def _decode(self, payload: bytes) -> tuple[wire.WireMessage | None, frozenset[bytes]]:
-        if payload != self._decoded[0]:
-            try:
-                message = wire.decode(payload)
-            except wire.WireError:
-                message = None
-            nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
-            self._decoded = (payload, message, frozenset(nonces))
-        return self._decoded[1:]
 
     def _verified_manifest(
         self, manifest_bytes: bytes, signature: bytes
@@ -169,6 +157,21 @@ class UserAgent:
                 verdict = DiscardReason.MANIFEST_INVALID
             self._manifests[key] = verdict
         return verdict
+
+
+@functools.lru_cache(maxsize=16)
+def _decode(payload: bytes) -> tuple[wire.WireMessage | None, frozenset[bytes], bytes]:
+    """A payload's message (None when it does not decode), the nonces a
+    response pools and the bytes its signature covers: everything before
+    the signature field, as `wire.signed_region` gives for a decoded
+    response or announcement. Every retransmitted copy that any user hears
+    within a few other payloads is one cache hit."""
+    try:
+        message = wire.decode(payload)
+    except wire.WireError:
+        return None, frozenset(), b""
+    nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
+    return message, frozenset(nonces), payload[: -crypto.SIGNATURE_LEN]
 
 
 def dedup(reports: list[DeviceReport]) -> list[DeviceReport]:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -102,6 +104,13 @@ class Counters:
     rejects: dict[str, int] = field(default_factory=dict)
 
 
+def _arrivals_cap(blend: BlendPolicy | None) -> int | None:
+    """The blend window's length bound: none without a threshold a deque can hold."""
+    if blend is None or not blend.switch_threshold < sys.maxsize:
+        return None
+    return math.floor(blend.switch_threshold) + 1
+
+
 class Device:
     """One pull/push/blend device instance; single-threaded by contract."""
 
@@ -149,7 +158,9 @@ class Device:
         self.att_result = wire.ATT_FAIL
         self.last_att_time = 0.0
         self.counters = Counters()
-        self._arrivals: deque[float] = deque()
+        # Request times within the blend window, newest last. Only whether
+        # more than `switch_threshold` remain matters, so one more is kept.
+        self._arrivals: deque[float] = deque(maxlen=_arrivals_cap(blend))
         self._pending_tx: Transmit | None = None
         # Only one announcement timer chain may be live; ticks that do not
         # match this timestamp are stale leftovers of a finished chain.
@@ -193,9 +204,12 @@ class Device:
             actions.extend(self.blend_step(now))
 
         if self.in_gen:
-            self.pool_tmp.append(nonce)
-            self.random_delete()
-            self.counters.pool_tmp_peak = max(self.counters.pool_tmp_peak, len(self.pool_tmp))
+            pool_tmp = self.pool_tmp
+            pool_tmp.append(nonce)
+            if self.pool_tmp_cap is not None and len(pool_tmp) > self.pool_tmp_cap:
+                self.random_delete()
+            if len(pool_tmp) > self.counters.pool_tmp_peak:
+                self.counters.pool_tmp_peak = len(pool_tmp)
             return actions
 
         self.pool.append(nonce)

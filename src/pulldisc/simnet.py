@@ -13,7 +13,10 @@ response once per scan window). Every other receiver still draws its loss
 and latency, in the same order, and counts the frame in its rx counters:
 at send time when it arrives within the running horizon, otherwise through
 a queued event that counts it on arrival. So rx counters and all outputs
-are those of delivering every frame to every node.
+are those of delivering every frame to every node. The receivers of a
+domain, with what each hears, are listed once per frame kind and listed
+again when a node joins; `World._queue_unheard` turns on the reference
+path that queues every frame, which differential tests compare against.
 
 Event ordering is total and deterministic: (time, priority, sequence),
 with deliveries processed first at equal timestamps, then device timers
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import agent as agent_mod
 from . import device as device_mod
@@ -73,8 +76,7 @@ class LinkConfig:
                 f"randomize_addresses must be true or false, got {self.randomize_addresses!r}")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     src_addr: bytes  # 6-byte link address
     uuid: bytes  # 16-byte value
     payload: bytes
@@ -111,7 +113,11 @@ class Metrics:
 
 
 class Node:
-    """Base class: a named participant in one broadcast domain."""
+    """Base class: a named participant in one broadcast domain.
+
+    `hears`, `handled` and `counters` are fixed once the node joins a
+    world: `World.broadcast` caches them per domain and frame kind. The
+    `handled` dict may change in place, but is never replaced."""
 
     # The frame kinds `handle_deliver` acts on; None hears every frame.
     hears: frozenset[bytes] | None = None
@@ -147,6 +153,8 @@ class World:
         self.rng = Random(f"link/{seed}")
         self.nodes: dict[str, Node] = {}
         self._domains: dict[str, list[Node]] = {}  # members of each domain, in joining order
+        # (domain, frame kind) -> (node, hears the kind, handled, counters) per member.
+        self._fanout: dict[tuple[str, bytes], list[tuple]] = {}
         self._queue: list = []
         self._seq = itertools.count()
         self.now = 0.0
@@ -170,6 +178,7 @@ class World:
         node.world = self
         self.nodes[node.name] = node
         self._domains.setdefault(node.domain, []).append(node)
+        self._fanout.clear()
         self.metrics.per_node[node.name] = node.counters
         if self._started:  # joins a run in progress
             node.start(self.now)
@@ -204,14 +213,16 @@ class World:
         Each receiver draws loss, then latency. One that does not hear the
         payload's kind, or has handled the payload by the copy's arrival,
         gets no delivery: the frame is counted in its rx now if it arrives
-        within the running horizon, and otherwise by a queued `_count_rx`."""
+        within the running horizon, and otherwise by a queued `_count_rx`.
+        The receivers of a domain and frame kind are listed once, at the
+        first such frame after a node joins."""
         if len(payload) > wire.MAX_PAYLOAD:
             raise wire.CapacityError(
                 f"payload of {len(payload)} bytes exceeds the {wire.MAX_PAYLOAD}-byte budget"
             )
         size = wire_size if wire_size is not None else len(payload)
         src, uuid = self._frame_identity(sender)
-        frame = Frame(src_addr=src, uuid=uuid, payload=payload, wire_size=size)
+        frame = Frame(src, uuid, payload, size)
         sender_node = self.nodes[sender]
         m = sender_node.counters
         m.tx_bytes += size
@@ -221,27 +232,31 @@ class World:
         link = self.link
         p_loss, lo, span = link.p_loss, link.latency_min, link.latency_max - link.latency_min
         random, push, queue, seq = self.rng.random, heapq.heappush, self._queue, self._seq
-        kind, horizon, queue_unheard = bytes(payload[:6]), self._horizon, self._queue_unheard
-        for node in self._domains[sender_node.domain]:
+        horizon, queue_unheard = self._horizon, self._queue_unheard
+        key = (sender_node.domain, bytes(payload[:6]))
+        fanout = self._fanout.get(key)
+        if fanout is None:
+            fanout = self._fanout[key] = [
+                (node, node.hears is None or key[1] in node.hears, node.handled, node.counters)
+                for node in self._domains[key[0]]
+            ]
+        dropped = 0
+        for node, hears, handled, counters in fanout:
             if node is sender_node:
                 continue
             if p_loss > 0.0 and random() < p_loss:
-                self.metrics.frames_dropped += 1
+                dropped += 1
                 continue
             # The same draw, and the same float, as rng.uniform(lo, hi).
             at = now + (lo + span * random())
-            hears = node.hears
-            if hears is None or kind in hears:
-                handled = node.handled
-                if handled is None or queue_unheard or handled.get(payload, -1.0) < at:
-                    push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
-                    continue
-            if at <= horizon and not queue_unheard:
-                m = node.counters
-                m.rx_bytes += size
-                m.rx_frames += 1
+            if hears and (handled is None or queue_unheard or handled.get(payload, -1.0) < at):
+                push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
+            elif at <= horizon and not queue_unheard:
+                counters.rx_bytes += size
+                counters.rx_frames += 1
             else:
-                push(queue, (at, _PRIO_DELIVER, next(seq), None, partial(_count_rx, node.counters, size)))
+                push(queue, (at, _PRIO_DELIVER, next(seq), None, partial(_count_rx, counters, size)))
+        self.metrics.frames_dropped += dropped
 
     def retransmit(self, sender: str, payload: bytes, now: float) -> None:
         """Reliability schedule: rebroadcast every 30 ms, ten copies total."""
@@ -302,7 +317,9 @@ class DeviceNode(Node):
         self._apply(self.device.boot(now), now)
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
-        self._apply(self.device.on_frame(frame.payload, now), now)
+        actions = self.device.on_frame(frame.payload, now)
+        if actions:
+            self._apply(actions, now)
 
     def _timer(self, kind: device_mod.TimerKind, now: float) -> None:
         self._apply(self.device.on_timer(kind, now), now)

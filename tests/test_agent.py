@@ -2,8 +2,11 @@
 
 from random import Random
 
+from unittest import mock
+
 import pytest
 
+from pulldisc import agent as agent_mod
 from pulldisc import crypto, registration, wire
 from pulldisc.agent import DeviceReport, DiscardReason, ReportSource, UserAgent, dedup
 from pulldisc.device import Device
@@ -107,6 +110,22 @@ def test_garbage_is_malformed(world):
     assert agent.on_response(pending, b"XX-XXX" + bytes(96), 5.1) is DiscardReason.MALFORMED
 
 
+def test_shared_decode_of_malformed_and_bytearray_payloads(world):
+    agent, device = world
+    for junk in (b"", b"junk", wire.ID_RESPONSE + bytes(5), b"XX-XXX" + bytes(96)):
+        assert agent_mod._decode(junk)[:2] == (None, frozenset())
+    payload, pending = agent.make_request(5.0)
+    response = run_device_round(device, payload, 5.0)
+    announcement = device._generate_announcement(7.0).encode()
+    for sent, pooled in ((response, {pending.nonce}), (announcement, set())):
+        message = wire.decode(sent)
+        record = (message, frozenset(pooled), wire.signed_region(message))
+        assert agent_mod._decode(bytes(bytearray(sent))) == record
+    assert agent.pooled_nonces(bytearray(response)) == {pending.nonce}
+    report = agent.on_response(pending, bytearray(response), 6.5)
+    assert isinstance(report, DeviceReport) and report.verified
+
+
 def test_announcement_skips_nonce_check(world):
     agent, device = world
     device.mode = device.mode  # pull device still signs announcements fine
@@ -118,9 +137,10 @@ def test_announcement_skips_nonce_check(world):
 
 
 def test_memoised_agent_matches_fresh_agents(mfr, descriptor, record, store, monkeypatch):
-    """A long-lived agent reuses its last decode and its manifest verdicts;
-    each of its results must equal that of a fresh agent, which decodes
-    and verifies from scratch, on a stream that mixes every outcome."""
+    """A long-lived agent reuses the shared decode and its manifest
+    verdicts; each of its results must equal that of a fresh agent, which
+    decodes without the shared cache and verifies from scratch, on a
+    stream that mixes every outcome."""
     side_store = registration.ManifestStore()
 
     def side_device(seed):
@@ -160,7 +180,8 @@ def test_memoised_agent_matches_fresh_agents(mfr, descriptor, record, store, mon
         got = memo.on_response(pending, payload, now)
         counting[0] = "fresh"
         fresh = UserAgent((mfr.public_key,), store, Random(0))
-        assert got == fresh.on_response(pending, payload, now)
+        with mock.patch.object(agent_mod, "_decode", agent_mod._decode.__wrapped__):
+            assert got == fresh.on_response(pending, payload, now)
         outcomes.add(type(got) if isinstance(got, DeviceReport) else got)
 
     earlier = []

@@ -1,5 +1,6 @@
 """Simulator behavior: delivery, loss, ordering, determinism, adversaries."""
 
+import collections
 import functools
 import heapq
 import inspect
@@ -343,6 +344,7 @@ def test_response_pooling_two_requests_credits_both(monkeypatch):
         return real_decode(payload)
 
     monkeypatch.setattr(wire, "decode", counted_decode)
+    agent._decode.cache_clear()  # an earlier test may have decoded the same payload
     built, report = scenario.run_scenario(config)
     node = built.agent_nodes[0]
     assert built.device_nodes[0].device.counters.responses == 1  # one response pools both
@@ -1113,6 +1115,166 @@ def test_interest_filter_matches_queueing_every_frame_in_inventory():
     receipts, rejects, rx, _ = fast
     assert receipts and rejects.get("replay")  # the replayer's copies were heard and refused
     assert all(frames > 0 for _, frames in rx.values())
+
+
+def test_a_node_added_after_a_run_hears_later_frames():
+    def run():
+        world = simnet.World(seed=1)
+        world.add_node(Sink("tx"))
+        early = world.add_node(Sink("early"))
+        request = wire.RequestMsg(bytes(12)).encode()
+        world.broadcast("tx", request, 0.0)
+        world.broadcast("tx", wire.ID_RESPONSE, 0.0)
+        world.run_until(1.0)  # both frame kinds have been fanned out once
+        late, deaf = world.add_node(Sink("late")), world.add_node(_Deaf("deaf"))
+        world.broadcast("tx", request, 1.0)
+        world.broadcast("tx", wire.ID_RESPONSE, 1.0)
+        metrics = world.run_until(2.0)
+        received = [sorted((t > 1.0, f.payload) for t, f in n.received) for n in (early, late, deaf)]
+        return received, metrics.to_json()
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+    (early, late, deaf), doc = fast
+    request = b"DP-REQ" + bytes(12)
+    assert early == [(False, request), (False, b"DP-RES"), (True, request), (True, b"DP-RES")]
+    assert late == early[2:]
+    assert deaf == [(True, request)]
+    assert json.loads(doc)["per_node"]["deaf"]["rx_frames"] == 2
+
+
+# Perfbench's flood in miniature: pull devices that pool 129 nonces and drop
+# overflow, a blend device that switches to push, a response forger and
+# users that discard responses pooling none of their nonces.
+_FLOOD = {
+    "seed": 5,
+    "horizon": 4.0,
+    "link": {"p_loss": 0.01},
+    "devices": [
+        {"name": "pull0", "t_gen": 1.0, "pool_tmp_cap": 258},
+        {"name": "pull1", "t_gen": 1.0, "pool_tmp_cap": 258},
+        {"name": "blend0", "t_gen": 1.0, "pool_tmp_cap": 258, "mode": "blend",
+         "blend": {"switch_threshold": 100, "window": 1.0, "push_period": 8.0,
+                   "announce_interval": 1.0}},
+    ],
+    "users": [
+        {"name": f"user{i}", "scan_window": 2.0,
+         "arrival": {"kind": "periodic", "interval": 0.15, "start": 0.03 * i}}
+        for i in range(4)
+    ],
+    "adversaries": [
+        {"name": "flooder", "behavior": "flood", "rate": 1000.0, "stop": 3.0},
+        {"name": "forger", "behavior": "forge_response", "rate": 2.0},
+    ],
+}
+
+
+def _user_outputs(built):
+    return [
+        ([r.to_json_fields() for r in node.reports], node.latencies, node.discards)
+        for node in built.agent_nodes
+    ]
+
+
+def test_fanout_matches_queueing_every_frame_under_a_flood():
+    config = scenario.ScenarioConfig.from_dict(_FLOOD)
+
+    def run():
+        built = scenario.build_world(config)
+        metrics = built.world.run_until(config.horizon)
+        return metrics.to_json(), _user_outputs(built), [
+            (n.device.counters.dropped_nonces, n.device.counters.announcements)
+            for n in built.device_nodes
+        ]
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+    doc, users, devices = fast
+    assert json.loads(doc)["frames_dropped"] > 0
+    assert all(reports and discards for reports, _, discards in users)
+    assert all(dropped > 0 for dropped, _ in devices) and devices[-1][1] > 0
+
+
+def test_shared_decode_equals_a_fresh_decode_of_every_delivered_payload(monkeypatch):
+    delivered, decoded = [], []
+    real_deliver, real_decode = simnet.AgentNode.handle_deliver, wire.decode
+
+    def recording_deliver(node, frame, now):
+        delivered.append(frame.payload)
+        real_deliver(node, frame, now)
+
+    def counted_decode(payload):
+        decoded.append(payload)
+        return real_decode(payload)
+
+    monkeypatch.setattr(simnet.AgentNode, "handle_deliver", recording_deliver)
+    monkeypatch.setattr(wire, "decode", counted_decode)
+    agent._decode.cache_clear()
+    scenario.run_scenario(scenario.ScenarioConfig.from_dict(_FLOOD))
+    monkeypatch.undo()
+    distinct = set(delivered)
+    assert sorted(decoded) == sorted(distinct)  # one decode per payload, for every user
+    kinds = set()
+    for payload in distinct:
+        agent._decode.cache_clear()
+        message, pooled, region = agent._decode(payload)
+        assert message == wire.decode(payload)
+        kinds.add(type(message))
+        nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
+        assert pooled == frozenset(nonces)
+        assert region == wire.signed_region(message)
+    assert kinds == {wire.ResponseMsg, wire.AnnouncementMsg}
+
+
+def test_blend_rate_window_stays_bounded_under_a_long_flood():
+    """The window keeps one request more than the threshold, which is all
+    the switch reads: every switch time equals the unbounded window's."""
+    config = scenario.ScenarioConfig.from_dict({
+        "seed": 3,
+        "horizon": 20.0,
+        "devices": [{"name": "blend0", "t_gen": 1.0, "pool_tmp_cap": 258, "mode": "blend",
+                     "blend": {"switch_threshold": 100, "window": 3600.0, "push_period": 8.0,
+                               "announce_interval": 1.0}}],
+        "users": [{"name": "user0", "arrival": {"kind": "periodic", "interval": 0.5}}],
+        "adversaries": [{"name": "flooder", "behavior": "flood", "rate": 1000.0}],
+    })
+
+    def run(window):
+        built = scenario.build_world(config)
+        device = built.device_nodes[0].device
+        if window is not None:
+            device._arrivals = window
+        sizes = []
+
+        def sample(now):
+            sizes.append(len(device._arrivals))
+            built.world.schedule_action(now + 0.25, sample)
+
+        built.world.schedule_action(0.0, sample)
+        switches = []
+        blend_step = device.blend_step
+
+        def recording_step(now):
+            actions = blend_step(now)
+            switches.extend(a.at for a in actions)
+            return actions
+
+        device.blend_step = recording_step
+        metrics = built.world.run_until(config.horizon)
+        return max(sizes), switches, metrics.to_json(), _user_outputs(built)
+
+    bounded, unbounded = run(None), run(collections.deque())
+    assert bounded[0] == 101
+    assert unbounded[0] > 19_000  # every request of the run
+    assert len(bounded[1]) == 3  # at the 101st request, then once per push period
+    assert bounded[1:] == unbounded[1:]
+
+
+@pytest.mark.parametrize("threshold, cap", [(100, 101), (2.5, 3), (1e300, None), (math.inf, None)])
+def test_blend_rate_window_cap(threshold, cap):
+    policy = device_mod.BlendPolicy(threshold, 1.0, 1.0, 1.0)
+    assert device_mod._arrivals_cap(policy) == cap
+    assert device_mod._arrivals_cap(None) is None
 
 
 def test_only_the_replay_adversary_hears_frames():
