@@ -7,8 +7,10 @@ Busy fraction comes in two denominator conventions:
 
 Both are exposed because they answer slightly different questions; the
 inclusive form with an announcement cost of 0.235 s reproduces the
-reference push-usage grid to two decimals, while the exclusive form is
-what the simulator's busy-seconds counter measures directly.
+reference push-usage grid to two decimals. The simulator's busy-seconds
+counter reads the exclusive form for push, and for pull at `t_gen` 0 with
+requests over `t_res` apart; a device that pools (`t_gen` > 0) reads less,
+and under continuous requests the inclusive worst case.
 
 Bandwidth: push devices emit one fixed-size announcement per interval;
 pull devices answer batches of requests with responses that grow twelve

@@ -85,9 +85,12 @@ class BlendPolicy:
 @dataclass
 class Counters:
     """One node's cost record, for every role: the simulator adds the
-    radio fields, and inventory devices and owners keep the last four."""
+    radio fields, inventory devices and owners keep the last four, and a
+    user its discards in `rejects`. `busy_seconds` is serialized work
+    (`occupy`); `World.run_until` clips it at the horizon, carrying the rest."""
 
     busy_seconds: float = 0.0
+    busy_until: float = 0.0  # when the work charged so far ends
     signatures: int = 0
     attestations: int = 0
     tx_bytes: int = 0
@@ -102,6 +105,12 @@ class Counters:
     requests: int = 0
     receipts: int = 0
     rejects: dict[str, int] = field(default_factory=dict)
+
+    def occupy(self, start: float, seconds: float) -> float:
+        """Charge `seconds` of work from `start`, or when earlier work ends if later; returns the end."""
+        self.busy_until = max(start, self.busy_until) + seconds
+        self.busy_seconds += seconds
+        return self.busy_until
 
 
 def _arrivals_cap(blend: BlendPolicy | None) -> int | None:
@@ -263,7 +272,7 @@ class Device:
         self.last_att_time = now
         if counted:
             self.counters.attestations += 1
-            self.counters.busy_seconds += self.t_att_exec
+            self.counters.occupy(now, self.t_att_exec)
 
     # -- response / announcement generation ---------------------------------
 
@@ -292,7 +301,7 @@ class Device:
 
     def _occupy(self, transmit: Transmit, now: float) -> SetTimer:
         """Hold the radio for `t_res`; `transmit` goes out when it ends."""
-        self.counters.busy_seconds += self.t_res
+        self.counters.occupy(now, self.t_res)
         self._pending_tx = transmit
         return SetTimer(TimerKind.GEN_COMPLETE, now + self.t_res)
 

@@ -165,6 +165,7 @@ class World:
         self._started = False
         # Horizon of the run in progress; outside a run nothing is due yet.
         self._horizon = -math.inf
+        self._carried: list = []  # (counters, unclipped busy_seconds) busy past the last horizon
 
     # The reference path, for tests only: queue every unheard frame as an
     # event that counts it on arrival, and deliver every handled copy.
@@ -271,7 +272,8 @@ class World:
         """Process events in deterministic order up to and including horizon.
 
         Nodes start on the first call; a later call continues the run and
-        may not name a horizon before the current time."""
+        may not name a horizon before the current time. `busy_seconds`
+        leaves out work past the horizon (up to `busy_until`) for the next."""
         if not horizon >= self.now:
             raise ValueError(f"horizon must be >= the current time {self.now!r}, got {horizon!r}")
         if not self._started:
@@ -279,6 +281,8 @@ class World:
             for node in self.nodes.values():
                 node.start(self.now)
         self._horizon = horizon
+        for m, busy in self._carried:
+            m.busy_seconds = busy
         queue, pop = self._queue, heapq.heappop
         while queue and queue[0][0] <= horizon:
             time, _prio, _seq, node, detail = pop(queue)
@@ -292,6 +296,10 @@ class World:
                 m.rx_frames += 1
                 node.handle_deliver(detail, time)
         self._horizon = -math.inf
+        self._carried = [(m, m.busy_seconds) for m in self.metrics.per_node.values()
+                         if m.busy_until > horizon]
+        for m, busy in self._carried:
+            m.busy_seconds = busy - (m.busy_until - horizon)
         self.now = horizon
         self.metrics.horizon = horizon
         return self.metrics
@@ -382,7 +390,7 @@ class AgentNode(Node):
         self.arrivals = arrivals
         self.pending: dict[bytes, agent_mod.PendingRequest] = {}
         self.reports: list[agent_mod.DeviceReport] = []
-        self.discards: dict[str, int] = {}
+        self.discards = self.counters.rejects  # by reason
         self.latencies: list[float] = []
         # Response payloads and (anchor nonce, announcement) pairs in the
         # order settled, each mapped to one scan window after its first copy.
@@ -482,16 +490,12 @@ class ImDeviceNode(Node):
         ranges.check(t_res=t_res)
         self.device = device
         self.t_res = t_res
-        self._busy_until = 0.0
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
         response = self.device.respond(frame.payload)
         if response is None:
             return
-        start = max(now, self._busy_until)
-        done = start + self.t_res
-        self._busy_until = done
-        self.counters.busy_seconds += self.t_res
+        done = self.counters.occupy(now, self.t_res)
         self.world.schedule_action(done, partial(self.world.broadcast, self.name, response))
 
 

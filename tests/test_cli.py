@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import pulldisc
-from pulldisc import keytree, registration, simnet, wire
+from pulldisc import keytree, registration, scenario, simnet, wire
 from pulldisc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -373,13 +373,13 @@ MIXED_SCENARIO = {
     [
         (
             json.loads((SCENARIOS / "hotel.json").read_text()),
-            "3e805a65f343944c3f889ae6ef1950442b246e0ce7df72af55235fee727d252a",
-            "fa633adae2c429b67366d48fa03ed934cf19956591bbcc338ff3d601509f4439",
+            "a89f6e9a1f4a3f533dfc1e073deb45c8cd00a6aa246449db6a267308bc0d73a2",
+            "f18f17eb74bd795612ad216b5c1489dfc0d348ce7ec2c8b00a09fc88e5cb3d06",
         ),
         (
             MIXED_SCENARIO,
-            "f6569a7fcca4e0c8a30b6154d9718188c9734ed42a41f21c3b150491770e203a",
-            "f6c0b9d0370c2a9bb724b99b5b7cf3fbd5837bf71d3676360fa3d1f71c042808",
+            "69c6badd157b1ad554e1ea976185ed8e225e184d32fb5762c9ff63ce2e20b3de",
+            "041d9cfaf9a6b72532a0be3c3e292798a084dc29fc70be429da86698ae2ee720",
         ),
     ],
     ids=["hotel", "mixed"],
@@ -394,16 +394,60 @@ def test_scenario_outputs_pinned(tmp_path, capsys, doc, metrics_json, metrics_cs
 
 
 @pytest.mark.parametrize("sweep", [[], ["--sweep", "1,2"]])
-def test_scenario_run_fails_on_failed_check(tmp_path, capsys, sweep):
-    doc = dict(SMALL_SCENARIO, horizon=5.0, devices=[{"name": "dev0", "t_gen": 1.0, "t_res": 10.0}])
-    doc["users"] = [{"name": "user0", "arrival": {"kind": "periodic", "interval": 2.0, "start": 0.5}}]
+def test_scenario_run_fails_on_failed_check(tmp_path, capsys, monkeypatch, sweep):
+    # No valid config is known to fail a check, so one is added to every run.
+    # Sweep workers are forked, and inherit the patch.
+    run_scenario = scenario.run_scenario
+
+    def failing_run(config):
+        built, report = run_scenario(config)
+        assert all(report.checks.values())
+        report.checks["injected"] = False
+        return built, report
+
+    monkeypatch.setattr(scenario, "run_scenario", failing_run)
     out = tmp_path / "out"
-    rc = main(["scenario", "run", "--config", write_config(tmp_path, doc), "--out", str(out), *sweep])
+    rc = main(["scenario", "run", "--config", write_config(tmp_path, SMALL_SCENARIO),
+               "--out", str(out), *sweep])
     assert rc == 1
-    assert "busy_within_horizon" in capsys.readouterr().err
     reports = sorted(out.rglob("report.json"))
-    assert len(reports) == max(1, len(sweep))
-    assert all(not json.loads(r.read_text())["checks"]["busy_within_horizon"] for r in reports)
+    assert len(reports) == (2 if sweep else 1)
+    assert capsys.readouterr().err.splitlines() == [
+        f"sanity checks failed in {r}: ['injected']" for r in reports]
+    assert all(json.loads(r.read_text())["checks"]["injected"] is False for r in reports)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # Response windows back to back under a flood at the default 100/s.
+        {"seed": 3, "horizon": 10.0, "devices": [{"name": "d0", "t_gen": 0.0}],
+         "users": [{"name": "u0", "arrival": {"kind": "periodic", "interval": 2.0}}],
+         "adversaries": [{"name": "a0", "behavior": "flood"}]},
+        # Attestations due every 0.5 ms, each running 1 ms.
+        {"seed": 1, "horizon": 2.0, "devices": [{"name": "d0", "t_att": 0.0005}]},
+    ],
+    ids=["flooded", "overattested"],
+)
+def test_saturated_device_is_busy_up_to_the_horizon(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    assert main(["scenario", "run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    busy = json.loads((out / "metrics.json").read_text())["per_node"]["d0"]["busy_seconds"]
+    assert doc["horizon"] - 0.01 < busy <= doc["horizon"]
+
+
+def test_split_inside_a_window_counts_it_up_to_the_split():
+    # pusher's announcement at 60 s holds it until 60.233 s; nothing else
+    # runs on it before 61 s.
+    config = scenario.ScenarioConfig.from_dict(dict(MIXED_SCENARIO, horizon=61.0))
+    world = scenario.build_world(config).world
+    busy = []
+    for split in (60.0, 60.1, 61.0):
+        metrics = world.run_until(split)
+        assert all(m.busy_seconds <= split for m in metrics.per_node.values())
+        busy.append(metrics.per_node["pusher"].busy_seconds)
+    assert [busy[1] - busy[0], busy[2] - busy[0]] == pytest.approx([0.1, 0.233])
+    assert metrics.to_json() == scenario.run_scenario(config)[1].metrics.to_json()
 
 
 def test_scenario_sweep_parallel_seeds(tmp_path, capsys):

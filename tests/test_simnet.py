@@ -578,6 +578,38 @@ def test_per_node_record_is_the_nodes_own_counters():
     assert len({id(m) for m in records}) == len(records)
 
 
+def test_user_discards_are_its_counters_rejects():
+    forger = {"name": "adv", "behavior": "forge_response", "rate": 5.0}
+    built, report = scenario.run_scenario(_hotel_config(adversaries=[forger]))
+    for node in built.agent_nodes:
+        assert node.discards is report.metrics.per_node[node.name].rejects
+    assert any(node.discards for node in built.agent_nodes)
+
+
+def test_inventory_window_past_the_horizon_is_carried_into_the_next_run():
+    def world():
+        rng = Random(5)
+        owner = Owner(crypto.generate_keypair(rng), Random(6))
+        infos = [build_device_info(f"unit-{i:07d}".encode(), 1, 1) for i in range(2)]
+        fleet = owner.enroll_lkh_fleet(infos, b"inventory image", 2, rng)
+        w = simnet.World(seed=3)
+        w.add_node(simnet.OwnerNode("owner", owner, [1.0, 1.1]))
+        for i, d in enumerate(fleet):
+            w.add_node(simnet.ImDeviceNode(f"d{i}", d))
+        return w
+
+    split = world()
+    split.run_until(1.3)  # each device answers the second request after the first
+    for name in ("d0", "d1"):
+        m, t_res = split.nodes[name].counters, split.nodes[name].t_res
+        first_start = m.busy_until - 2 * t_res
+        assert 1.0 < first_start < 1.1 < m.busy_until - t_res < 1.3 < m.busy_until
+        assert m.busy_seconds == pytest.approx(1.3 - first_start)
+    metrics = split.run_until(5.0)
+    assert all(metrics.per_node[name].busy_seconds == pytest.approx(0.466) for name in ("d0", "d1"))
+    assert metrics.to_json() == world().run_until(5.0).to_json()
+
+
 def test_inventory_per_node_record_is_the_roles_own_counters():
     rng = Random(5)
     owner = Owner(crypto.generate_keypair(rng), Random(6))
@@ -856,10 +888,8 @@ def test_every_optional_node_key_reaches_its_constructor():
 
 # Random configs. Per key: common values, then edge values (boundaries,
 # wrong types, out-of-range and sub-resolution numbers). A key with no
-# common values is only ever set by an edit. Loads stay below
-# saturation: a device busy right up to the horizon fails busy_within_horizon
-# by design (test_scenario_run_fails_on_failed_check), so flood rates are
-# small and `rate` is always given (its default is 100/s).
+# common values is only ever set by an edit. Common values include loads
+# that keep a device busy past the horizon (a 50/s flood at `t_gen` 0).
 _ODD = (None, True, "1", [], {}, math.nan, math.inf, -math.inf)
 _OMIT = object()
 _KEYS = {
@@ -886,7 +916,7 @@ _KEYS = {
         "blend": ([], [dict(_BLEND), 5]),
         "device_type": (["sensor", "camera"], [5, ""]),
         "software_version": (["1.0"], [2]),
-        "t_att": ([300.0, 2.0], [0, -1.0, 1e-300, 1e300]),
+        "t_att": ([300.0, 2.0], [0.0005, 0, -1.0, 1e-300, 1e300]),
         "t_gen": ([1.0, 0.0], [-1.0, 1e300]),
         "pool_max": ([129, 1], [0, 130, 10.0]),
         "t_res": ([0.233, 0.0], [-1.0, 1e-300]),
@@ -917,7 +947,7 @@ _KEYS = {
     "adversary": {
         "name": ([], ["d0", 5]),
         "behavior": (["flood", "replay", "forge_response", "forge_request"], ["jam"]),
-        "rate": ([0.5, 1.0], [0, 1e-300, 1e300]),
+        "rate": ([0.5, 50.0, 1000.0], [0, 1e-300, 1e300]),
         "stop": ([3.0, math.inf], [-1.0]),
         "record_until": ([2.0, 0.0], [-1.0]),
         "replay_at": ([[1.0, 4.0], []], [[-1.0], [math.nan], [math.inf], [True], 5, 0]),
@@ -959,7 +989,7 @@ def _scenario_docs(draw, max_edits=4, min_nodes=0):
         for i in range(draw(st.integers(min_nodes, 2)))
     ]
     doc["adversaries"] = [
-        section("adversary", {"name": f"a{i}"}, always=("behavior", "rate"))
+        section("adversary", {"name": f"a{i}"}, always=("behavior",))
         for i in range(draw(st.integers(0, 1)))
     ]
     for _ in range(draw(st.integers(0, max_edits))):
