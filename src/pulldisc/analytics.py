@@ -9,8 +9,9 @@ Both are exposed because they answer slightly different questions; the
 inclusive form with an announcement cost of 0.235 s reproduces the
 reference push-usage grid to two decimals. The simulator's busy-seconds
 counter reads the exclusive form for push, and for pull at `t_gen` 0 with
-requests over `t_res` apart; a device that pools (`t_gen` > 0) reads less,
-and under continuous requests the inclusive worst case.
+requests over `t_res` apart. A device that pools (`t_gen` > 0) reads less;
+under continuous requests it reads the inclusive worst case, `ubusy_pull`
+at `t_req = t_gen` (one response per generation window).
 
 Bandwidth: push devices emit one fixed-size announcement per interval;
 pull devices answer batches of requests with responses that grow twelve
@@ -22,32 +23,25 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from . import wire
+from . import ranges, wire
+from .device import T_RES
 
 SECONDS_PER_DAY = 86400.0
 
-
-def _check_fields(model) -> None:
-    for f in fields(model):
-        value = getattr(model, f.name)
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
-
-
-def _check_interval(name: str, interval: float) -> None:
-    if not 0 < interval < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {interval!r}")
+# The reference usage grid's axes: push intervals, and pull request intervals.
+GRID_INTERVALS = (1.0, 2.0, 3.0, 4.0, 5.0)
+GRID_PULL_T_REQS = (1.0, 5.0, 10.0, 30.0)
 
 
 @dataclass(frozen=True)
 class CostModel:
     t_ann: float = 0.235  # announcement generation seconds
-    t_res: float = 0.233  # response generation seconds, signing dominated
+    t_res: float = T_RES
 
     def __post_init__(self):
-        _check_fields(self)
+        ranges.check(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -60,51 +54,39 @@ class ScenarioModel:
     t_gen: float = 1.0
 
     def __post_init__(self):
-        _check_fields(self)
+        ranges.check(**vars(self))
         if self.crowded_hours > 24:
-            raise ValueError("crowded_hours must be within a day")
-        _check_interval("crowded_t_req", self.crowded_t_req)
+            raise ValueError(f"crowded_hours must be within a day, got {self.crowded_hours!r}")
 
 
-def ubusy_push(model: CostModel, t_ann_interval: float, form: str = "inclusive") -> float:
-    """Fraction of device time spent generating announcements."""
-    _check_interval("announcement interval", t_ann_interval)
+def _busy(cost: float, interval: float, form: str) -> float:
+    """Busy fraction of `cost` seconds of work once per `interval`."""
     if form == "exclusive":
-        return model.t_ann / t_ann_interval
+        return cost / interval
     if form == "inclusive":
-        return model.t_ann / (t_ann_interval + model.t_ann)
+        return cost / (interval + cost)
     raise ValueError(f"unknown form {form!r}")
+
+
+def ubusy_push(model: CostModel, push_interval: float, form: str = "inclusive") -> float:
+    """Fraction of device time spent generating announcements."""
+    ranges.check(push_interval=push_interval)
+    return _busy(model.t_ann, push_interval, form)
 
 
 def ubusy_pull(model: CostModel, t_req: float, form: str = "inclusive") -> float:
     """Fraction of device time spent generating responses, one per t_req."""
-    _check_interval("request interval", t_req)
-    if form == "exclusive":
-        return model.t_res / t_req
-    if form == "inclusive":
-        return model.t_res / (t_req + model.t_res)
-    raise ValueError(f"unknown form {form!r}")
+    ranges.check(t_req=t_req)
+    return _busy(model.t_res, t_req, form)
 
 
-def ubusy_pull_worst_case(model: CostModel, t_gen: float, form: str = "inclusive") -> float:
-    """Continuous requests: one response per generation window."""
-    return ubusy_pull(model, t_gen, form)
-
-
-def bandwidth_push(announcement_size: int = 128, t_ann: float = 1.0) -> float:
+def bandwidth_push(announcement_size: int = 128, push_interval: float = 1.0) -> float:
     """Average bits per second of a push device."""
-    if announcement_size <= 0:
-        raise ValueError("announcement size must be positive")
-    _check_interval("announcement interval", t_ann)
-    return 8.0 * announcement_size / t_ann
+    ranges.check(announcement_size=announcement_size, push_interval=push_interval)
+    return 8.0 * announcement_size / push_interval
 
 
-def bandwidth_pull(
-    scenario: ScenarioModel,
-    request_size: int = wire.REQUEST_LEN,
-    response_base: int = wire.RESPONSE_BASE_LEN,
-    nonce_size: int = wire.NONCE_LEN,
-) -> float:
+def bandwidth_pull(scenario: ScenarioModel) -> float:
     """Average bits per second of one pull exchange stream over a day.
 
     While crowded, requests arrive every crowded_t_req; when requests are
@@ -112,8 +94,6 @@ def bandwidth_pull(
     carries ceil(t_gen / t_req) nonces. Off-peak requests are far apart
     and always answered individually.
     """
-    if request_size <= 0 or response_base <= 0:
-        raise ValueError("sizes must be positive")
     crowded_seconds = scenario.crowded_hours * 3600.0
     total_bytes = 0.0
 
@@ -121,29 +101,24 @@ def bandwidth_pull(
         requests = crowded_seconds / scenario.crowded_t_req
         per_response = max(1, math.ceil(scenario.t_gen / scenario.crowded_t_req))
         responses = requests / per_response
-        total_bytes += requests * request_size
-        total_bytes += responses * (response_base + nonce_size * per_response)
+        total_bytes += requests * wire.REQUEST_LEN
+        total_bytes += responses * wire.encoded_response_len(per_response)
 
     offpeak_requests = (24.0 - scenario.crowded_hours) * scenario.offpeak_per_hour
-    total_bytes += offpeak_requests * (request_size + response_base + nonce_size)
+    total_bytes += offpeak_requests * (wire.REQUEST_LEN + wire.encoded_response_len(1))
 
     return 8.0 * total_bytes / SECONDS_PER_DAY
 
 
-def usage_grid(
-    model: CostModel,
-    intervals: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0),
-    pull_t_reqs: tuple[float, ...] = (1.0, 5.0, 10.0, 30.0),
-    form: str = "inclusive",
-) -> str:
-    """CSV grid of push and pull busy percentages over the intervals."""
+def usage_grid(model: CostModel, form: str = "inclusive") -> str:
+    """CSV grid of push and pull busy percentages over the reference grid's axes."""
     out = io.StringIO()
     writer = csv.writer(out)
-    header = ["interval_s", "push_pct"] + [f"pull_t_req_{t:g}s_pct" for t in pull_t_reqs]
+    header = ["interval_s", "push_pct"] + [f"pull_t_req_{t:g}s_pct" for t in GRID_PULL_T_REQS]
     writer.writerow(header)
-    for interval in intervals:
+    for interval in GRID_INTERVALS:
         row = [f"{interval:g}", f"{100.0 * ubusy_push(model, interval, form):.2f}"]
-        for t_req in pull_t_reqs:
+        for t_req in GRID_PULL_T_REQS:
             row.append(f"{100.0 * ubusy_pull(model, max(t_req, interval), form):.2f}")
         writer.writerow(row)
     return out.getvalue()

@@ -293,14 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="closed-form usage / bandwidth models")
     p.add_argument("which", choices=["ubusy", "bandwidth", "table1"])
     p.add_argument("--form", choices=["inclusive", "exclusive"], default="inclusive")
-    p.add_argument("--t-ann", type=float, default=0.235)
-    p.add_argument("--t-res", type=float, default=0.233)
-    p.add_argument("--t-req", type=float, default=10.0)
-    p.add_argument("--t-gen", type=float, default=1.0)
+    cost, profile = analytics.CostModel, analytics.ScenarioModel
+    p.add_argument("--t-ann", type=float, default=cost.t_ann)
+    p.add_argument("--t-res", type=float, default=cost.t_res)
+    p.add_argument("--t-req", type=float, default=profile.crowded_t_req)
+    p.add_argument("--t-gen", type=float, default=profile.t_gen)
     p.add_argument("--push-interval", type=float, default=None)
     p.add_argument("--announcement-size", type=int, default=128)
-    p.add_argument("--crowded-hours", type=float, default=16.0)
-    p.add_argument("--offpeak-per-hour", type=float, default=10.0)
+    p.add_argument("--crowded-hours", type=float, default=profile.crowded_hours)
+    p.add_argument("--offpeak-per-hour", type=float, default=profile.offpeak_per_hour)
     p.set_defaults(fn=_cmd_analytic)
 
     p = sub.add_parser("lkh", help="key-tree operations")

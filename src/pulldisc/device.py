@@ -8,9 +8,9 @@ Requests arriving while a response is being generated land in a temporary
 overflow list that is drained into the pool in pool-sized blocks, each
 block triggering another generation pass.
 
-Generation occupies the device for `t_res` seconds (signing dominates);
-the finished response is broadcast at the end of that window. Periodic
-attestation ticks that land inside the window are suppressed and executed
+Generation occupies the device for `t_res` seconds after its earlier work
+(signing dominates); the response is broadcast at the end of that window.
+Attestation ticks that land inside the window are suppressed and run
 right after it, so response generation always wins the timer race.
 
 Devices can also run push (periodic announcements, requests ignored) or
@@ -67,6 +67,8 @@ class SetTimer:
 
 
 Action = Transmit | SetTimer
+
+T_RES = 0.233  # response generation seconds, signing dominated
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class Device:
         *,
         mode: Mode = Mode.PULL,
         blend: BlendPolicy | None = None,
-        t_res: float = 0.233,  # response generation cost, signing dominated
+        t_res: float = T_RES,
         t_att_exec: float = 0.001,  # hashing the image is near-free by comparison
         announce_interval: float = 1.0,
         announce_wire_size: int = 128,  # on-air announcement size incl. padding
@@ -300,10 +302,9 @@ class Device:
         return dataclasses.replace(unsigned, signature=signature)
 
     def _occupy(self, transmit: Transmit, now: float) -> SetTimer:
-        """Hold the radio for `t_res`; `transmit` goes out when it ends."""
-        self.counters.occupy(now, self.t_res)
+        """Hold the radio for `t_res` after the work before it; `transmit` goes out when it ends."""
         self._pending_tx = transmit
-        return SetTimer(TimerKind.GEN_COMPLETE, now + self.t_res)
+        return SetTimer(TimerKind.GEN_COMPLETE, self.counters.occupy(now, self.t_res))
 
     def _enter_gen(self, now: float) -> list[Action]:
         self.gen_deadline = None

@@ -51,6 +51,13 @@ RANGES = {
     "record_until": _NOT_NAN,
     "replay_at": _NONNEGATIVE_FINITE,
     "round_times": _NONNEGATIVE_FINITE,
+    "t_ann": _NONNEGATIVE_FINITE,
+    "crowded_hours": _NONNEGATIVE_FINITE,  # ScenarioModel also keeps it within a day
+    "crowded_t_req": _POSITIVE_FINITE,
+    "offpeak_per_hour": _NONNEGATIVE_FINITE,
+    "t_req": _POSITIVE_FINITE,
+    "push_interval": _POSITIVE_FINITE,
+    "announcement_size": (lambda v: type(v) is int and v > 0, "must be a positive integer"),
 }
 
 

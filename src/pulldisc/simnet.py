@@ -484,7 +484,7 @@ class ImDeviceNode(Node):
     """Inventory device with a serialized processing queue."""
 
     def __init__(
-        self, name: str, device: ImDevice, t_res: float = 0.233, domain: str = "default"
+        self, name: str, device: ImDevice, t_res: float = device_mod.T_RES, domain: str = "default"
     ):
         super().__init__(name, domain, device)
         ranges.check(t_res=t_res)

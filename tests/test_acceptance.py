@@ -333,7 +333,7 @@ def test_criterion_11_radio_silence_and_push_bandwidth(accept):
     )
     _, report = scenario.run_scenario(push)
     bps = 8.0 * report.metrics.per_node["dev0"].tx_bytes / 86400.0
-    predicted = analytics.bandwidth_push(announcement_size=128, t_ann=1.0)
+    predicted = analytics.bandwidth_push(announcement_size=128, push_interval=1.0)
     assert predicted == 1024.0
     assert abs(bps - predicted) / predicted <= 0.01
     accept(11, f"24 h pull with no requests: 0 bytes; push at 1 s/128 B: {bps:.1f} bps")

@@ -36,7 +36,7 @@ def test_zero_cost_is_zero():
 
 def test_pull_exclusive_examples(model):
     assert 100.0 * analytics.ubusy_pull(model, 10.0, "exclusive") == pytest.approx(2.33)
-    assert 100.0 * analytics.ubusy_pull_worst_case(model, 1.0, "exclusive") == pytest.approx(23.3)
+    assert 100.0 * analytics.ubusy_pull(model, 1.0, "exclusive") == pytest.approx(23.3)
     assert analytics.ubusy_pull(model, 1e9, "exclusive") == pytest.approx(0.0, abs=1e-6)
 
 
@@ -78,7 +78,7 @@ def test_model_intervals_must_be_positive_and_finite(model, interval):
     for call in (
         lambda: analytics.ubusy_push(model, interval),
         lambda: analytics.ubusy_pull(model, interval),
-        lambda: analytics.ubusy_pull_worst_case(model, interval),
+        lambda: analytics.ubusy_pull(model, interval, "exclusive"),
         lambda: analytics.bandwidth_push(128, interval),
     ):
         with pytest.raises(ValueError, match="must be positive and finite"):

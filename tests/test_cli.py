@@ -177,6 +177,12 @@ def test_analytic_ubusy_and_bandwidth(capsys):
     assert capsys.readouterr().out.strip() == "2.3300"
     assert main(["analytic", "bandwidth", "--push-interval", "1.0"]) == 0
     assert capsys.readouterr().out.strip() == "1024.00"
+    # Each flag left out takes the model's own default.
+    for argv, printed in [(["ubusy"], "2.2769"), (["ubusy", "--push-interval", "2"], "10.5145"),
+                          (["bandwidth"], "71.38"),
+                          (["bandwidth", "--t-gen", "5", "--t-req", "1"], "269.78")]:
+        assert main(["analytic", *argv]) == 0
+        assert capsys.readouterr().out == printed + "\n"
 
 
 def test_lkh_demo(capsys):
@@ -293,8 +299,8 @@ def test_wire_decode_bad_hex(capsys):
          "--sweep repeats a seed"),
         (["analytic", "ubusy", "--t-req", "0"], "must be positive"),
         (["analytic", "ubusy", "--t-req", "nan"], "must be positive and finite"),
-        (["analytic", "table1", "--t-ann", "nan"], "t_ann must be finite"),
-        (["analytic", "bandwidth", "--t-req", "nan"], "crowded_t_req must be finite"),
+        (["analytic", "table1", "--t-ann", "nan"], "t_ann must be >= 0 and finite"),
+        (["analytic", "bandwidth", "--t-req", "nan"], "crowded_t_req must be positive and finite"),
         (["im", "solicit", "--devices", "0", "--mode", "naive", "--seed", "1"],
          "at least 1 device"),
         (["wire", "decode", "--file", "missing.bin"], "cannot read missing.bin"),

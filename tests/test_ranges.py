@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from pulldisc import agent, crypto, ranges, registration, scenario, simnet
+from pulldisc import agent, analytics, crypto, ranges, registration, scenario, simnet
 from pulldisc import device as device_mod
 from pulldisc.inventory import Owner, build_device_info
 
@@ -54,7 +54,9 @@ _CONFIG_KEYS = [
 
 def test_every_config_range_is_covered():
     # round_times belongs to the inventory owner, which no scenario file sets yet.
-    assert {key for _, key, _, _ in _CONFIG_KEYS} == set(ranges.RANGES) - {"round_times"}
+    config_keys = {key for _, key, _, _ in _CONFIG_KEYS}
+    analytic_names = {key for _, key, _, _ in _ANALYTIC_ARGS}
+    assert set(ranges.RANGES) == config_keys | analytic_names | {"round_times"}
 
 
 @pytest.mark.parametrize("value", [True, "out-of-range"], ids=["bool", "out-of-range"])
@@ -107,3 +109,28 @@ _CONSTRUCTOR_ARGS = [
 def test_direct_callers_get_value_error(key, build, value):
     with pytest.raises(ValueError, match=rf"\b{key}\b"):
         build(value)
+
+
+# Every numeric input of the closed-form models, as (callee, argument, an out-of-range
+# number, call with it set).
+_ANALYTIC_ARGS = [
+    *(("CostModel", key, -1.0, lambda v, key=key: analytics.CostModel(**{key: v}))
+      for key in ("t_ann", "t_res")),
+    *(("ScenarioModel", key, bad, lambda v, key=key: analytics.ScenarioModel(**{key: v}))
+      for key, bad in (("crowded_hours", -1.0), ("crowded_t_req", 0.0),
+                       ("offpeak_per_hour", -1.0), ("t_gen", -1.0))),
+    ("ubusy_push", "push_interval", 0.0, lambda v: analytics.ubusy_push(analytics.CostModel(), v)),
+    ("ubusy_pull", "t_req", 0.0, lambda v: analytics.ubusy_pull(analytics.CostModel(), v)),
+    ("bandwidth_push", "announcement_size", 0,
+     lambda v: analytics.bandwidth_push(announcement_size=v)),
+    ("bandwidth_push", "push_interval", 0.0, lambda v: analytics.bandwidth_push(push_interval=v)),
+]
+
+
+@pytest.mark.parametrize("value", ["1", True, math.nan, "out-of-range"],
+                         ids=["string", "bool", "nan", "out-of-range"])
+@pytest.mark.parametrize("key, bad, call", [case[1:] for case in _ANALYTIC_ARGS],
+                         ids=[f"{callee}.{key}" for callee, key, _, _ in _ANALYTIC_ARGS])
+def test_analytic_refusal_names_the_setting(key, bad, call, value):
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        call(bad if value == "out-of-range" else value)

@@ -1,0 +1,35 @@
+"""README drift guard: its CLI examples parse, and its Layout table names every module."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from pulldisc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def _section(title: str) -> str:
+    """The README text under `## title`, up to the next heading of that level."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_cli_examples_parse():
+    block = re.search(r"```sh\n(.*?)```", _section("CLI"), re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("pulldisc ")]
+    assert lines
+    for line in lines:
+        try:  # parsed only: no command runs
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")
+
+
+def test_layout_names_every_module():
+    rows = [line.split("|")[1] for line in _section("Layout").splitlines() if line.startswith("|")]
+    listed = {name for row in rows for name in re.findall(r"`pulldisc\.(\w+)`", row)}
+    modules = {p.stem for p in (ROOT / "src" / "pulldisc").glob("*.py")} - {"__init__"}
+    assert listed == modules, sorted(listed ^ modules)

@@ -610,6 +610,33 @@ def test_inventory_window_past_the_horizon_is_carried_into_the_next_run():
     assert metrics.to_json() == world().run_until(5.0).to_json()
 
 
+def test_no_response_leaves_before_its_busy_window_ends(monkeypatch):
+    # Attestations every 0.5 ms keep work queued ahead of each response window.
+    windows = []  # (payload, end of its window in the busy record)
+    occupy = device_mod.Device._occupy
+
+    def recorded(dev, transmit, now):
+        timer = occupy(dev, transmit, now)
+        windows.append((transmit.payload, dev.counters.busy_until))
+        return timer
+
+    monkeypatch.setattr(device_mod.Device, "_occupy", recorded)
+    config = scenario.ScenarioConfig.from_dict({
+        "seed": 1, "horizon": 2.0,
+        "devices": [{"name": "d", "t_att": 0.0005, "t_gen": 0}],
+        "users": [{"name": "u", "arrival": {"kind": "periodic", "interval": 0.5}}],
+    })
+    built, _ = scenario.run_scenario(config, capture_frames=True)
+    first_copy = {}
+    for at, sender, frame in built.world.captured:
+        if sender == "d":
+            first_copy.setdefault(frame.payload, at)
+    for payload, end in windows:  # each goes out as its window ends, if within the horizon
+        assert first_copy.get(payload) == (end if end <= 2.0 else None)
+    assert len(windows) == 4 and len(first_copy) == 3
+    assert built.world.nodes["d"].counters.busy_until < 2.01
+
+
 def test_inventory_per_node_record_is_the_roles_own_counters():
     rng = Random(5)
     owner = Owner(crypto.generate_keypair(rng), Random(6))
