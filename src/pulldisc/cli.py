@@ -50,15 +50,10 @@ def _cmd_provision(args) -> int:
     settings = {k: getattr(args, k) for k in ("t_att", "t_gen", "pool_max") if k in args}
     # Checked up front too, so that --count 0, which builds no record, refuses a bad setting.
     ranges.check(**settings)
+    fields = {k: getattr(args, k) for k in ("device_type", "sensors_actuators", "coarse_location")
+              if k in args}
     for i in range(args.count):
-        descriptor = registration.DeviceDescriptor(
-            device_type=args.device_type,
-            sensors_actuators=tuple(args.sensor or ["temperature"]),
-            software_version="1.0",
-            coarse_location=args.location,
-            software_image=f"image/{i}".encode(),
-            full_url=f"https://devices.example/{i}",
-        )
+        descriptor = registration.stand_in_descriptor(i, **fields)
         record = registration.provision_db_device(
             mfr, descriptor, store=store, rng=rng, **settings
         )
@@ -129,30 +124,39 @@ def _cmd_scenario_run(args) -> int:
     return 1 if any(failing for _, failing in results) else 0
 
 
+# The flags each analytic model reads, by model and whether --push-interval is given.
+_ANALYTIC_READS = {
+    ("table1", False): {"form", "t_ann", "t_res"},
+    ("ubusy", True): {"push_interval", "form", "t_ann"},
+    ("ubusy", False): {"form", "t_res", "t_req"},
+    ("bandwidth", True): {"push_interval", "announcement_size"},
+    ("bandwidth", False): {"t_req", "t_gen", "crowded_hours", "offpeak_per_hour"},
+}
+
+
 def _cmd_analytic(args) -> int:
-    model = analytics.CostModel(t_ann=args.t_ann, t_res=args.t_res)
-    if args.which == "ubusy":
-        if args.push_interval is not None:
-            value = analytics.ubusy_push(model, args.push_interval, args.form)
-        else:
-            value = analytics.ubusy_pull(model, args.t_req, args.form)
-        print(f"{100.0 * value:.4f}")
-        return 0
-    if args.which == "bandwidth":
-        if args.push_interval is not None:
-            bps = analytics.bandwidth_push(args.announcement_size, args.push_interval)
-        else:
-            sc = analytics.ScenarioModel(
-                crowded_hours=args.crowded_hours,
-                crowded_t_req=args.t_req,
-                offpeak_per_hour=args.offpeak_per_hour,
-                t_gen=args.t_gen,
-            )
-            bps = analytics.bandwidth_pull(sc)
-        print(f"{bps:.2f}")
-        return 0
-    # table1: the five-row usage grid
-    print(analytics.usage_grid(model, form=args.form), end="")
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "which", "fn")}
+    push = args.which != "table1" and "push_interval" in flags
+    unread = sorted(set(flags) - _ANALYTIC_READS[args.which, push])
+    if unread:
+        where = f"analytic {args.which}" + (" --push-interval" if push else "")
+        raise ValueError(f"{where} does not read " + ", ".join(
+            "--" + flag.replace("_", "-") for flag in unread))
+    form = flags.pop("form", "inclusive")
+    model = analytics.CostModel(**{k: flags.pop(k) for k in ("t_ann", "t_res") if k in flags})
+    if args.which == "table1":  # the five-row usage grid
+        print(analytics.usage_grid(model, form=form), end="")
+    elif args.which == "ubusy" and push:
+        print(f"{100.0 * analytics.ubusy_push(model, flags['push_interval'], form):.4f}")
+    elif args.which == "ubusy":
+        t_req = flags.get("t_req", analytics.ScenarioModel.crowded_t_req)
+        print(f"{100.0 * analytics.ubusy_pull(model, t_req, form):.4f}")
+    elif push:
+        print(f"{analytics.bandwidth_push(**flags):.2f}")
+    else:
+        if "t_req" in flags:
+            flags["crowded_t_req"] = flags.pop("t_req")
+        print(f"{analytics.bandwidth_pull(analytics.ScenarioModel(**flags)):.2f}")
     return 0
 
 
@@ -185,6 +189,8 @@ def _cmd_lkh_demo(args) -> int:
 def _cmd_im_solicit(args) -> int:
     if args.devices < 1:
         raise ValueError(f"im solicit needs at least 1 device, got {args.devices}")
+    if args.mode == "naive" and "p" in args:
+        raise ValueError("im solicit --mode naive does not read --p")
     rng = Random(args.seed)
     owner = inventory.Owner(crypto.generate_keypair(rng), Random(args.seed + 1))
     image = b"inventory-image"
@@ -193,7 +199,7 @@ def _cmd_im_solicit(args) -> int:
         for i in range(args.devices)
     ]
     if args.mode == "lkh":
-        devices = owner.enroll_lkh_fleet(infos, image, args.p, rng)
+        devices = owner.enroll_lkh_fleet(infos, image, getattr(args, "p", 2), rng)
     else:
         devices = [owner.enroll_naive(info, image, rng) for info in infos]
     # One round on the simulator: request latency, one response window, response latency.
@@ -268,10 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--device-type", default="sensor")
-    p.add_argument("--sensor", action="append", help="repeatable; default: temperature")
-    p.add_argument("--location", default="site")
-    # Left out, these take the provisioning record's defaults.
+    # Left out, these take the stand-in descriptor's and the provisioning record's defaults.
+    p.add_argument("--device-type", default=argparse.SUPPRESS)
+    p.add_argument("--sensor", action="append", dest="sensors_actuators", metavar="SENSOR",
+                   default=argparse.SUPPRESS, help="repeatable; default: temperature")
+    p.add_argument("--location", dest="coarse_location", metavar="LOCATION",
+                   default=argparse.SUPPRESS)
     p.add_argument("--t-att", type=float, default=argparse.SUPPRESS)
     p.add_argument("--t-gen", type=float, default=argparse.SUPPRESS)
     p.add_argument("--pool-max", type=int, default=argparse.SUPPRESS)
@@ -292,16 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="closed-form usage / bandwidth models")
     p.add_argument("which", choices=["ubusy", "bandwidth", "table1"])
-    p.add_argument("--form", choices=["inclusive", "exclusive"], default="inclusive")
-    cost, profile = analytics.CostModel, analytics.ScenarioModel
-    p.add_argument("--t-ann", type=float, default=cost.t_ann)
-    p.add_argument("--t-res", type=float, default=cost.t_res)
-    p.add_argument("--t-req", type=float, default=profile.crowded_t_req)
-    p.add_argument("--t-gen", type=float, default=profile.t_gen)
-    p.add_argument("--push-interval", type=float, default=None)
-    p.add_argument("--announcement-size", type=int, default=128)
-    p.add_argument("--crowded-hours", type=float, default=profile.crowded_hours)
-    p.add_argument("--offpeak-per-hour", type=float, default=profile.offpeak_per_hour)
+    # Left out, a flag takes its model's default; one the model does not read is refused.
+    p.add_argument("--form", choices=["inclusive", "exclusive"], default=argparse.SUPPRESS)
+    p.add_argument("--t-ann", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--t-res", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--t-req", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--t-gen", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--push-interval", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--announcement-size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--crowded-hours", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--offpeak-per-hour", type=float, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_analytic)
 
     p = sub.add_parser("lkh", help="key-tree operations")
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = isub.add_parser("solicit", help="one request/response round against a fleet")
     ps.add_argument("--devices", type=int, default=10)
     ps.add_argument("--mode", choices=["naive", "lkh"], default="naive")
-    ps.add_argument("--p", type=int, default=2)
+    ps.add_argument("--p", type=int, default=argparse.SUPPRESS, help="lkh arity; default: 2")
     ps.add_argument("--seed", type=int, required=True)
     ps.set_defaults(fn=_cmd_im_solicit)
 

@@ -269,12 +269,14 @@ class Device:
         return self.att_result
 
     def _attest(self, now: float, counted: bool = True) -> None:
+        # A counted attestation runs, and is stamped, when the work queued before it ends.
         matches = crypto.hash_image(bytes(self.memory_image)) == self.provisioning.software_hash
         self.att_result = wire.ATT_SUCCESS if matches else wire.ATT_FAIL
-        self.last_att_time = now
         if counted:
+            now = max(now, self.counters.busy_until)
             self.counters.attestations += 1
             self.counters.occupy(now, self.t_att_exec)
+        self.last_att_time = now
 
     # -- response / announcement generation ---------------------------------
 
@@ -287,11 +289,12 @@ class Device:
 
     def _signed(self, cls, now: float, **fields):
         """Build a `cls` message with a fresh nonce and this device's
-        attestation report, and sign it with the device key."""
+        attestation report, aged at the start of its window, and sign it."""
+        start = max(now, self.counters.busy_until)
         unsigned = cls(
             device_nonce=self.rng.randbytes(wire.NONCE_LEN),
             url=self.provisioning.url,
-            att_report=wire.AttReport(self.att_result, int(now - self.last_att_time)),
+            att_report=wire.AttReport(self.att_result, int(start - self.last_att_time)),
             signature=bytes(crypto.SIGNATURE_LEN),
             **fields,
         )

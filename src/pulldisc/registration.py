@@ -141,6 +141,15 @@ class DeviceDescriptor:
                 raise ProvisioningError(f"{name} must be a string, got {value!r}")
 
 
+def stand_in_descriptor(key, device_type="sensor", sensors_actuators=("temperature",),
+                        software_version="1.0", coarse_location="site") -> DeviceDescriptor:
+    """A simulated device's descriptor: a field not given takes a stand-in
+    value, and the image and URL are derived from `key`."""
+    return DeviceDescriptor(device_type, tuple(sensors_actuators), software_version,
+                            coarse_location, f"image/{key}".encode(),
+                            f"https://devices.example/{key}")
+
+
 @dataclass(frozen=True)
 class DeviceProvisioningRecord:
     """Secrets and parameters installed on a pull-mode device."""

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from random import Random
-from typing import Any
 
 from . import agent as agent_mod
 from . import crypto
@@ -25,9 +25,8 @@ class ConfigError(ValueError):
 
 # Optional node keys, grouped by the constructor that takes them. A key is
 # passed on only when the config sets it, so the constructor's own default
-# applies otherwise; keys whose constructor has no default take the
-# scenario default given here.
-_DESCRIPTOR_DEFAULTS = {"device_type": "sensor", "software_version": "1.0"}
+# applies otherwise.
+_DESCRIPTOR_KEYS = ("device_type", "software_version")
 _PROVISION_KEYS = ("t_att", "t_gen", "pool_max")
 _DEVICE_ARGS = ("t_res", "t_att_exec", "announce_interval", "announce_wire_size", "pool_tmp_cap")
 _USER_ARGS = ("scan_window",)
@@ -38,7 +37,7 @@ _DEFAULT_ARRIVAL = {"kind": "periodic"}
 # listed here; every other section is checked by the one constructor it feeds.
 _DEVICE_KEYS = {
     "name", "mode", "blend",
-    *_DESCRIPTOR_DEFAULTS, *_PROVISION_KEYS, *_DEVICE_ARGS, *_NODE_ARGS,
+    *_DESCRIPTOR_KEYS, *_PROVISION_KEYS, *_DEVICE_ARGS, *_NODE_ARGS,
 }
 _USER_KEYS = {"name", "arrival", *_USER_ARGS, *_NODE_ARGS}
 
@@ -109,44 +108,11 @@ class ScenarioConfig:
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ConfigError(f"node names must be unique; repeated: {repeated}")
-        for dev in devices:
-            where = f"device {dev['name']}"
-            _require_keys(dev, _DEVICE_KEYS, where)
-            _check(where, lambda: _descriptor(dev))
-            # Keys, image and rng are first used in the run.
-            record = _check(where, lambda: registration.DeviceProvisioningRecord(
-                None, b"", b"", **_given(dev, _PROVISION_KEYS)))
-            device = _check(
-                where, lambda: device_mod.Device(None, b"", None, **_device_options(dev))
-            )
-            _check(where, lambda: simnet.DeviceNode(
-                dev["name"], device, **_given(dev, _NODE_ARGS)))
-            if "announce_interval" in dev and device.mode is not device_mod.Mode.PUSH:
-                raise ConfigError(f"{where}: announce_interval applies only to mode 'push' "
-                                  "(a blend device reads blend.announce_interval)")
-            _check_period(where, "t_att", record.t_att, horizon)
-            _check_period(where, "announce_interval", device.announce_interval, horizon)
-            if device.blend is not None:
-                _check_period(where, "blend.announce_interval", device.blend.announce_interval,
-                              horizon)
-        for user in users:
-            where = f"user {user['name']}"
-            _require_keys(user, _USER_KEYS, where)
-            # Trust keys, store and rng are first used in the run.
-            agent = _check(
-                where, lambda: agent_mod.UserAgent((), None, None, **_given(user, _USER_ARGS))
-            )
-            arrival = user.get("arrival", _DEFAULT_ARRIVAL)
-            arrivals = _check(f"arrival for {where}", lambda: simnet.ArrivalModel(**arrival))
-            _check(where, lambda: simnet.AgentNode(
-                user["name"], agent, arrivals, **_given(user, _NODE_ARGS)))
-            if arrivals.kind != "burst":
-                _check_period(f"arrival for {where}", "interval", arrivals.interval, horizon)
-        for adv in adversaries:
-            where = f"adversary {adv['name']}"
-            # rng is first used in the run.
-            node = _check(where, lambda: simnet.AdversaryNode(rng=None, **adv))
-            _check_period(where, "1/rate", 1.0 / node.rate, horizon)
+        # Keys, manifest store and generators are first used in the run.
+        _nodes(devices, users, adversaries, horizon,
+               provision=lambda descriptor, **settings: registration.DeviceProvisioningRecord(
+                   None, b"", b"", **settings),
+               trust_keys=(), store=None, node_rng=lambda name: None)
         return cls(
             seed=doc["seed"],
             horizon=float(horizon),
@@ -187,17 +153,6 @@ def _given(spec: dict, keys) -> dict:
     return {key: spec[key] for key in keys if key in spec}
 
 
-def _descriptor(spec: dict) -> registration.DeviceDescriptor:
-    name = spec["name"]
-    return registration.DeviceDescriptor(
-        **{**_DESCRIPTOR_DEFAULTS, **_given(spec, _DESCRIPTOR_DEFAULTS)},
-        sensors_actuators=("temperature",),
-        coarse_location="site",
-        software_image=f"image/{name}".encode(),
-        full_url=f"https://devices.example/{name}",
-    )
-
-
 def _device_options(spec: dict) -> dict:
     """The `Device` settings a device entry gives, `mode` and `blend` parsed."""
     options = _given(spec, _DEVICE_ARGS)
@@ -208,6 +163,51 @@ def _device_options(spec: dict) -> dict:
     return options
 
 
+def _nodes(devices, users, adversaries, horizon, *, provision, trust_keys, store, node_rng):
+    """Check and build the device, user and adversary nodes, each list in
+    config order; `provision(descriptor, **settings)` gives a device's record."""
+    device_nodes = []
+    for spec in devices:
+        name = spec["name"]
+        where = f"device {name}"
+        _require_keys(spec, _DEVICE_KEYS, where)
+        descriptor = _check(where, lambda: registration.stand_in_descriptor(
+            name, **_given(spec, _DESCRIPTOR_KEYS)))
+        record = _check(where, lambda: provision(descriptor, **_given(spec, _PROVISION_KEYS)))
+        device = _check(where, lambda: device_mod.Device(
+            record, descriptor.software_image, node_rng(name), **_device_options(spec)))
+        device_nodes.append(_check(where, lambda: simnet.DeviceNode(
+            name, device, **_given(spec, _NODE_ARGS))))
+        if "announce_interval" in spec and device.mode is not device_mod.Mode.PUSH:
+            raise ConfigError(f"{where}: announce_interval applies only to mode 'push' "
+                              "(a blend device reads blend.announce_interval)")
+        _check_period(where, "t_att", record.t_att, horizon)
+        _check_period(where, "announce_interval", device.announce_interval, horizon)
+        if device.blend is not None:
+            _check_period(where, "blend.announce_interval", device.blend.announce_interval,
+                          horizon)
+    agent_nodes = []
+    for spec in users:
+        name = spec["name"]
+        where = f"user {name}"
+        _require_keys(spec, _USER_KEYS, where)
+        agent = _check(where, lambda: agent_mod.UserAgent(
+            trust_keys, store, node_rng(name), **_given(spec, _USER_ARGS)))
+        arrival = spec.get("arrival", _DEFAULT_ARRIVAL)
+        arrivals = _check(f"arrival for {where}", lambda: simnet.ArrivalModel(**arrival))
+        agent_nodes.append(_check(where, lambda: simnet.AgentNode(
+            name, agent, arrivals, **_given(spec, _NODE_ARGS))))
+        if arrivals.kind != "burst":
+            _check_period(f"arrival for {where}", "interval", arrivals.interval, horizon)
+    adversary_nodes = []
+    for spec in adversaries:
+        where = f"adversary {spec['name']}"
+        node = _check(where, lambda: simnet.AdversaryNode(rng=node_rng(spec["name"]), **spec))
+        _check_period(where, "1/rate", 1.0 / node.rate, horizon)
+        adversary_nodes.append(node)
+    return device_nodes, agent_nodes, adversary_nodes
+
+
 def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltScenario:
     """Provision every configured device and assemble the network."""
     link = simnet.LinkConfig(**config.link)
@@ -216,35 +216,13 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> BuiltSc
     mfr = crypto.generate_keypair(provision_rng)
     store = registration.ManifestStore()
     trust_keys = (mfr.public_key,)
-
-    device_nodes = []
-    for spec in config.devices:
-        name = spec["name"]
-        descriptor = _descriptor(spec)
-        record = registration.provision_db_device(
-            mfr, descriptor, store=store, rng=provision_rng, **_given(spec, _PROVISION_KEYS)
-        )
-        dev = device_mod.Device(
-            record, descriptor.software_image, world.node_rng(name), **_device_options(spec)
-        )
-        device_nodes.append(
-            world.add_node(simnet.DeviceNode(name, dev, **_given(spec, _NODE_ARGS)))
-        )
-
-    agent_nodes = []
-    for spec in config.users:
-        name = spec["name"]
-        user = agent_mod.UserAgent(
-            trust_keys, store, world.node_rng(name), **_given(spec, _USER_ARGS)
-        )
-        arrival = simnet.ArrivalModel(**spec.get("arrival", _DEFAULT_ARRIVAL))
-        agent_nodes.append(
-            world.add_node(simnet.AgentNode(name, user, arrival, **_given(spec, _NODE_ARGS)))
-        )
-
-    for spec in config.adversaries:
-        world.add_node(simnet.AdversaryNode(rng=world.node_rng(spec["name"]), **spec))
-
+    device_nodes, agent_nodes, adversary_nodes = _nodes(
+        config.devices, config.users, config.adversaries, config.horizon,
+        provision=partial(registration.provision_db_device, mfr, store=store, rng=provision_rng),
+        trust_keys=trust_keys, store=store, node_rng=world.node_rng,
+    )
+    for node in (*device_nodes, *agent_nodes, *adversary_nodes):
+        world.add_node(node)
     return BuiltScenario(
         world=world,
         config=config,

@@ -135,7 +135,7 @@ def _honest_exchange(agent, device, pump, at):
     payload, pending = agent.make_request(at)
     pump.frame(payload, at=at)
     pump.run_until(at + 0.5)
-    return pending, pump.payloads[-1]
+    return pending, pump.transmissions[-1][1]
 
 
 def test_criterion_5_verification_chain(accept):

@@ -311,12 +311,23 @@ def test_wire_decode_bad_hex(capsys):
         (["provision", "--out", "out", "--count", "0", "--seed", "1", "--pool-max", "0"],
          "pool_max must be an integer"),
         (["scenario", "run", "--config", "not-utf8.json"], "scenario file not-utf8.json"),
+        (["analytic", "ubusy", "--t-gen", "5"], "does not read --t-gen"),
+        (["analytic", "ubusy", "--t-ann", "9"], "does not read --t-ann"),
+        (["analytic", "ubusy", "--push-interval", "2", "--t-req", "3"], "does not read --t-req"),
+        (["analytic", "bandwidth", "--announcement-size", "0"],
+         "does not read --announcement-size"),
+        (["analytic", "bandwidth", "--push-interval", "1", "--t-gen", "5"],
+         "does not read --t-gen"),
+        (["analytic", "table1", "--push-interval", "1"], "does not read --push-interval"),
+        (["im", "solicit", "--mode", "naive", "--p", "7", "--seed", "1"], "does not read --p"),
     ],
     ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
          "sweep-not-seeds", "sweep-empty", "sweep-repeated", "ubusy-zero-interval",
          "ubusy-nan-interval", "table1-nan-cost", "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
          "scenario-config-directory", "scan-config-directory", "provision-negative-count",
-         "provision-count-0-bad-pool-max", "scenario-config-not-utf8"],
+         "provision-count-0-bad-pool-max", "scenario-config-not-utf8", "ubusy-t-gen",
+         "ubusy-t-ann", "ubusy-push-t-req", "bandwidth-announcement-size", "bandwidth-push-t-gen",
+         "table1-push-interval", "im-naive-p"],
 )
 def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # relative paths name nothing, and nothing is written to the repo

@@ -17,15 +17,29 @@ def _section(title: str) -> str:
     return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
-def test_cli_examples_parse():
+def _cli_examples() -> list[list[str]]:
     block = re.search(r"```sh\n(.*?)```", _section("CLI"), re.S).group(1)
-    lines = [line for line in block.splitlines() if line.startswith("pulldisc ")]
+    lines = [shlex.split(line, comments=True)[1:]
+             for line in block.splitlines() if line.startswith("pulldisc ")]
     assert lines
-    for line in lines:
+    return lines
+
+
+def test_cli_examples_parse():
+    for argv in _cli_examples():
         try:  # parsed only: no command runs
-            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            cli.build_parser().parse_args(argv)
         except SystemExit:
-            pytest.fail(f"README CLI line does not parse: {line}")
+            pytest.fail(f"README CLI line does not parse: pulldisc {shlex.join(argv)}")
+
+
+def test_model_examples_run(capsys):
+    # These write nothing, so they run: a flag the command does not read fails here.
+    runs = [argv for argv in _cli_examples()
+            if argv[0] == "analytic" or argv[:2] == ["im", "solicit"]]
+    assert runs
+    for argv in runs:
+        assert cli.main(argv) == 0, capsys.readouterr().err
 
 
 def test_layout_names_every_module():

@@ -637,6 +637,32 @@ def test_no_response_leaves_before_its_busy_window_ends(monkeypatch):
     assert built.world.nodes["d"].counters.busy_until < 2.01
 
 
+@pytest.mark.parametrize("interval, horizon", [(0.5, 2.0), (2.0, 5.0)])
+def test_attestation_is_stamped_when_its_window_starts(monkeypatch, interval, horizon):
+    # Attestations due every 0.5 ms, each running 1 ms, queue behind one another;
+    # 2 s between requests lets over 1 s of them queue ahead of a response.
+    ticks = []  # (tick time, stamp), one per counted attestation
+    attest = device_mod.Device._attest
+
+    def recorded(dev, now, counted=True):
+        attest(dev, now, counted)
+        if counted:
+            assert dev.counters.busy_until == dev.last_att_time + dev.t_att_exec
+            ticks.append((now, dev.last_att_time))
+
+    monkeypatch.setattr(device_mod.Device, "_attest", recorded)
+    config = scenario.ScenarioConfig.from_dict({
+        "seed": 1, "horizon": horizon,
+        "devices": [{"name": "d", "t_att": 0.0005, "t_gen": 0}],
+        "users": [{"name": "u", "arrival": {"kind": "periodic", "interval": interval}}],
+    })
+    built, _ = scenario.run_scenario(config, capture_frames=True)
+    assert max(stamp - tick for tick, stamp in ticks) > 0.2  # queued well behind the tick
+    ages = [wire.decode(frame.payload).att_report.seconds_since
+            for _, sender, frame in built.world.captured if sender == "d"]
+    assert ages and all(age == 0 for age in ages)
+
+
 def test_inventory_per_node_record_is_the_roles_own_counters():
     rng = Random(5)
     owner = Owner(crypto.generate_keypair(rng), Random(6))
