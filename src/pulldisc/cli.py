@@ -249,12 +249,8 @@ def _cmd_wire_decode(args) -> int:
         print(f"url: {message.url.decode('ascii')}")
         print(f"att_result: {'success' if message.att_report.result else 'fail'}")
         print(f"att_age_s: {message.att_report.seconds_since}")
-        print(f"signed_region: {wire.signed_region(message).hex()}")
-        print(f"signature: {message.signature.hex()}")
     elif isinstance(message, wire.ImRequestMsg):
         print(f"owner_nonce: {message.owner_nonce.hex()}")
-        print(f"signed_region: {wire.signed_region(message).hex()}")
-        print(f"signature: {message.signature.hex()}")
     elif isinstance(message, wire.ImResponseMsg):
         print(f"header_fields: {len(message.lkh_header)}")
         for i, f in enumerate(message.lkh_header):
@@ -262,6 +258,9 @@ def _cmd_wire_decode(args) -> int:
         print(f"iv: {message.iv.hex()}")
         print(f"ciphertext: {message.ciphertext.hex()}")
         print(f"tag: {message.tag.hex()}")
+    if isinstance(message, wire.SignedMessage):
+        print(f"signed_region: {wire.signed_region(message).hex()}")
+        print(f"signature: {message.signature.hex()}")
     return 0
 
 

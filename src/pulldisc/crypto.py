@@ -39,6 +39,10 @@ PRF_OUTPUT_LEN = 16
 AEAD_IV_LEN = 12
 AEAD_TAG_LEN = 16
 
+# Both configurations are immutable, so one of each serves every call.
+_SIGN_ALGORITHM = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+_VERIFY_ALGORITHM = ec.ECDSA(Prehashed(hashes.SHA256()))
+
 
 class SigningKeyError(ValueError):
     """Raised for private scalars outside [1, group order)."""
@@ -89,9 +93,7 @@ def sign(private_key: bytes, message: bytes) -> bytes:
     The per-message nonce is derived deterministically (RFC 6979), so
     signing the same message twice yields identical bytes.
     """
-    der = _private_obj(private_key).sign(
-        message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
-    )
+    der = _private_obj(private_key).sign(message, _SIGN_ALGORITHM)
     r, s = decode_dss_signature(der)
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
@@ -104,10 +106,6 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """
     if len(signature) != SIGNATURE_LEN:
         return False
-    r = int.from_bytes(signature[:32], "big")
-    s = int.from_bytes(signature[32:], "big")
-    if not (0 < r < GROUP_ORDER and 0 < s < GROUP_ORDER):
-        return False
     return _verify_digest(public_key, hashlib.sha256(message).digest(), signature)
 
 
@@ -115,15 +113,15 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 # milliseconds, so a small bound catches the repeats and keeps memory flat.
 @lru_cache(maxsize=128)
 def _verify_digest(public_key: bytes, digest: bytes, signature: bytes) -> bool:
-    """Verdict for a range-checked signature over a message's SHA-256
-    digest. ECDSA-SHA256 reads the message only through that digest, so
-    the cache key is exact."""
+    """Verdict for a 64-byte signature over a message's SHA-256 digest.
+    ECDSA-SHA256 reads the message only through that digest, so the cache
+    key is exact."""
     r = int.from_bytes(signature[:32], "big")
     s = int.from_bytes(signature[32:], "big")
+    if not (0 < r < GROUP_ORDER and 0 < s < GROUP_ORDER):
+        return False
     try:
-        _public_obj(public_key).verify(
-            encode_dss_signature(r, s), digest, ec.ECDSA(Prehashed(hashes.SHA256()))
-        )
+        _public_obj(public_key).verify(encode_dss_signature(r, s), digest, _VERIFY_ALGORITHM)
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -25,7 +25,6 @@ isolation.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import sys
@@ -298,11 +297,8 @@ class Device:
             signature=bytes(crypto.SIGNATURE_LEN),
             **fields,
         )
-        signature = crypto.sign(
-            self.provisioning.keypair.private_key, wire.signed_region(unsigned)
-        )
         self.counters.signatures += 1
-        return dataclasses.replace(unsigned, signature=signature)
+        return wire.sign(unsigned, self.provisioning.keypair.private_key)
 
     def _occupy(self, transmit: Transmit, now: float) -> SetTimer:
         """Hold the radio for `t_res` after the work before it; `transmit` goes out when it ends."""

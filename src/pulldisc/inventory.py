@@ -105,9 +105,8 @@ class ImDevice:
             message = wire.decode(payload)
         except wire.WireError:
             return None
-        if not crypto.verify(
-            self.record.owner_public_key, wire.signed_region(message), message.signature
-        ):
+        region = payload[: -crypto.SIGNATURE_LEN]
+        if not crypto.verify(self.record.owner_public_key, region, message.signature):
             self.counters.wasted_verifications += 1
             return None
 
@@ -224,7 +223,7 @@ class Owner:
         """Sign a fresh nonce; rotates the outstanding-nonce window."""
         nonce = self.rng.randbytes(wire.NONCE_LEN)
         unsigned = wire.ImRequestMsg(nonce, bytes(crypto.SIGNATURE_LEN))
-        signature = crypto.sign(self.keypair.private_key, wire.signed_region(unsigned))
+        request = wire.sign(unsigned, self.keypair.private_key)
         self.outstanding_nonce = nonce
         self.counters.requests += 1
         # An owner solicits the same premises round after round, so the
@@ -235,7 +234,7 @@ class Owner:
         order += (i for i in range(len(self.device_ids)) if i not in responders)
         keys = list(self.key_table.values())
         self._scan_order, self._scan_keys = order, [keys[i] for i in order]
-        return wire.ImRequestMsg(nonce, signature).encode()
+        return request.encode()
 
     def receive(self, payload: bytes) -> ImReceipt | ImDiscard:
         result = self._receive(payload)

@@ -12,7 +12,7 @@ type has a fixed layout:
     im response    "IM-RES" | header(L*16) | iv(12) | sealed(112)     = 130 + 16*L
 
 A response carries 1..129 pooled nonces; 129 fills the 1650-byte broadcast
-budget exactly. The signed region of a response is everything before the
+budget exactly. `sign` signs every signed message over all bytes before its
 signature field (the identifier and count byte are included deliberately:
 binding them blocks cross-protocol replay and truncation games).
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import crypto
 
@@ -220,6 +220,7 @@ class ImResponseMsg:
 
 
 WireMessage = RequestMsg | ResponseMsg | AnnouncementMsg | ImRequestMsg | ImResponseMsg
+SignedMessage = ResponseMsg | AnnouncementMsg | ImRequestMsg
 
 
 _PRINTABLE_ASCII = re.compile(rb"[\x20-\x7e]*")
@@ -249,17 +250,18 @@ def _encode_response_layout(proto_id, device_nonce, pooled, url, att, signature)
     return out
 
 
-def signed_region(message: ResponseMsg | AnnouncementMsg | ImRequestMsg) -> bytes:
-    """Bytes covered by the message signature.
+def signed_region(message: SignedMessage) -> bytes:
+    """Bytes covered by the message signature: every encoded byte before
+    the trailing signature field, for each signed kind."""
+    if not isinstance(message, SignedMessage):
+        raise TypeError(f"no signed region for {type(message).__name__}")
+    return message.encode()[: -crypto.SIGNATURE_LEN]
 
-    For responses and announcements this is every encoded byte before the
-    signature field; for inventory requests it is id || owner nonce.
-    """
-    if isinstance(message, (ResponseMsg, AnnouncementMsg)):
-        return message.encode()[: -crypto.SIGNATURE_LEN]
-    if isinstance(message, ImRequestMsg):
-        return ID_IM_REQUEST + message.owner_nonce
-    raise TypeError(f"no signed region for {type(message).__name__}")
+
+def sign(message: SignedMessage, private_key: bytes) -> SignedMessage:
+    """`message` carrying the signature of its signed region; whatever
+    signature it held is a placeholder."""
+    return replace(message, signature=crypto.sign(private_key, signed_region(message)))
 
 
 def _decode_response_layout(data: bytes, announcement: bool):

@@ -135,6 +135,14 @@ def test_verify_matches_an_uncached_reference(case, k, message, bit, repeat):
         assert crypto.verify(*args) == expected
 
 
+@pytest.mark.parametrize("case", ["r-zero", "s-zero", "r-order", "s-order"])
+def test_out_of_range_scalar_never_verifies(case):
+    message = b"scalar range"
+    args = _CASES[case](0, message, crypto.sign(_KEYS[0].private_key, message), 0)
+    for _ in range(2):  # the second call reads the cached verdict
+        assert not crypto.verify(*args)
+
+
 def test_cached_verdict_answers_only_its_own_triple():
     key, other = _KEYS[0], _KEYS[1]
     message = b"cached once"

@@ -1,4 +1,4 @@
-"""README drift guard: its CLI examples parse, and its Layout table names every module."""
+"""README drift guard: its CLI examples parse, and its Layout table names every module in short rows."""
 
 import re
 import shlex
@@ -47,3 +47,10 @@ def test_layout_names_every_module():
     listed = {name for row in rows for name in re.findall(r"`pulldisc\.(\w+)`", row)}
     modules = {p.stem for p in (ROOT / "src" / "pulldisc").glob("*.py")} - {"__init__"}
     assert listed == modules, sorted(listed ^ modules)
+
+
+def test_layout_rows_stay_short():
+    # A row names a module's concern; its behaviour rules belong in the prose sections.
+    rows = [line.split("|")[1:3] for line in _section("Layout").splitlines() if line.startswith("|")]
+    long = {module.strip(): len(concern.split()) for module, concern in rows if len(concern.split()) > 40}
+    assert not long, long

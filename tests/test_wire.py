@@ -89,6 +89,47 @@ def test_signed_region_sizes():
     assert wire.signed_region(imr) == b"IM-REQ" + imr.owner_nonce
 
 
+def _unsigned_kinds(rng):
+    """One message of each signed kind, responses at 1, 2 and 129 nonces,
+    each holding a random placeholder signature."""
+    responses = [_response(rng, count) for count in (1, 2, 129)]
+    return responses + [
+        wire.AnnouncementMsg(rng.randbytes(12), URL, _att(rng), rng.randbytes(64)),
+        wire.ImRequestMsg(rng.randbytes(12), rng.randbytes(64)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sign_matches_the_reference_encoding(seed):
+    """`wire.sign` gives the bytes of signing the encoding before the
+    signature field and putting that signature in place."""
+    rng = Random(f"wire.sign/{seed}")
+    keypair = crypto.generate_keypair(rng)
+    for unsigned in _unsigned_kinds(rng):
+        region = unsigned.encode()[:-64]
+        reference = dataclasses.replace(
+            unsigned, signature=crypto.sign(keypair.private_key, region)
+        ).encode()
+        signed = wire.sign(unsigned, keypair.private_key)
+        assert signed.encode() == reference
+        assert wire.signed_region(unsigned) == region
+        assert wire.signed_region(signed) == signed.encode()[:-64] == region
+        assert crypto.verify(keypair.public_key, reference[:-64], signed.signature)
+
+
+def test_unsigned_kinds_have_no_signed_region():
+    rng = Random(12)
+    key = crypto.generate_keypair(rng).private_key
+    for message in (
+        wire.RequestMsg(rng.randbytes(12)),
+        wire.ImResponseMsg((rng.randbytes(16),), rng.randbytes(12), rng.randbytes(112)),
+    ):
+        with pytest.raises(TypeError):
+            wire.signed_region(message)
+        with pytest.raises(TypeError):
+            wire.sign(message, key)
+
+
 def test_roundtrip_bulk_random_responses():
     rng = Random(8)
     for _ in range(10_000):
