@@ -9,19 +9,17 @@ typed discard reason and no partial report ever escapes:
 Announcements from push/blend devices go through the same pipeline minus
 the nonce check and are marked with their source.
 
-A payload is decoded once for every user that hears it: `_decode` keeps
-the last few payloads with their message, the set of nonces a response
-pools and the signed region, which the request-nonce lookup, the reports
-for each pending request and the signature check share. Decoding is a
-parse, not a trust decision. Manifest verdicts are memoised per agent,
-because users verify independently. A signature checked again is caught
-by `crypto.verify`'s verdict cache.
+A payload is decoded once for every user that hears it: `wire.parse_signed`
+keeps the last few payloads with their message, the set of nonces a
+response pools and the signed region, which the request-nonce lookup, the
+reports for each pending request and the signature check share. Manifest
+verdicts are memoised per agent, because users verify independently. A
+signature checked again is caught by `crypto.verify`'s verdict cache.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from random import Random
 
@@ -103,7 +101,7 @@ class UserAgent:
     def on_response(
         self, pending: PendingRequest, payload: bytes, now: float
     ) -> DeviceReport | DiscardReason:
-        message, pooled, region = _decode(bytes(payload))
+        message, pooled, region = wire.parse_signed(bytes(payload)) or (None, None, None)
         if isinstance(message, wire.ResponseMsg):
             if pending.nonce not in pooled:
                 return DiscardReason.STALE_OR_REPLAY
@@ -137,12 +135,6 @@ class UserAgent:
             device_nonce=message.device_nonce,
         )
 
-    def pooled_nonces(self, payload: bytes) -> frozenset[bytes] | None:
-        """Request nonces a response pools, or None if the payload does
-        not decode as a response."""
-        message, pooled, _ = _decode(bytes(payload))
-        return pooled if isinstance(message, wire.ResponseMsg) else None
-
     def _verified_manifest(
         self, manifest_bytes: bytes, signature: bytes
     ) -> registration.Manifest | DiscardReason:
@@ -159,24 +151,10 @@ class UserAgent:
         return verdict
 
 
-@functools.lru_cache(maxsize=16)
-def _decode(payload: bytes) -> tuple[wire.WireMessage | None, frozenset[bytes], bytes]:
-    """A payload's message (None when it does not decode), the nonces a
-    response pools and the bytes its signature covers: everything before
-    the signature field, as `wire.signed_region` gives for a decoded
-    response or announcement. Every retransmitted copy that any user hears
-    within a few other payloads is one cache hit."""
-    try:
-        message = wire.decode(payload)
-    except wire.WireError:
-        return None, frozenset(), b""
-    nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
-    return message, frozenset(nonces), payload[: -crypto.SIGNATURE_LEN]
-
-
 def dedup(reports: list[DeviceReport]) -> list[DeviceReport]:
-    """Collapse retransmission duplicates: keep the latest report per
-    device nonce (each response carries a fresh one)."""
+    """Keep the latest report per device nonce (each response carries a
+    fresh one): one response that pools several of a user's pending
+    requests yields a report for each, and they collapse to one here."""
     latest: dict[bytes, DeviceReport] = {}
     for report in reports:
         held = latest.get(report.device_nonce)

@@ -101,11 +101,7 @@ class ImDevice:
         # a request before paying for a decode.
         if len(payload) != wire.IM_REQUEST_LEN or not payload.startswith(wire.ID_IM_REQUEST):
             return None
-        try:
-            message = wire.decode(payload)
-        except wire.WireError:
-            return None
-        region = payload[: -crypto.SIGNATURE_LEN]
+        message, _, region = wire.parse_signed(bytes(payload))  # all that passes the guard parses
         if not crypto.verify(self.record.owner_public_key, region, message.signature):
             self.counters.wasted_verifications += 1
             return None

@@ -359,6 +359,8 @@ class ArrivalModel:
         if self.kind not in ("periodic", "poisson", "burst"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
         ranges.check(interval=self.interval, start=self.start, count=self.count)
+        if self.kind == "burst" and self.count is None:  # a burst is `count` requests at `start`
+            raise ValueError("burst arrival needs a count")
         # A zero interval would repeat one instant forever; a burst never reads it.
         if self.kind != "burst" and self.interval == 0:
             raise ValueError(f"{self.kind} interval must be positive, got {self.interval!r}")
@@ -366,7 +368,7 @@ class ArrivalModel:
     def times(self, rng: Random):
         """Request times in order, without end unless `count` caps them."""
         if self.kind == "burst":
-            yield from [self.start] * (self.count or 0)
+            yield from [self.start] * self.count
             return
         poisson = self.kind == "poisson"
         t = self.start + rng.expovariate(1.0 / self.interval) if poisson else self.start
@@ -446,11 +448,11 @@ class AgentNode(Node):
             if handled.get(key, -1.0) >= now:
                 return
         elif pending:
-            pooled = self.agent.pooled_nonces(payload)
-            if pooled is None:
+            parsed = wire.parse_signed(payload)  # a response, if it parses at all
+            if parsed is None:
                 reason = agent_mod.DiscardReason.MALFORMED
             else:
-                owners = [p for nonce, p in pending.items() if nonce in pooled]
+                owners = [p for nonce, p in pending.items() if nonce in parsed[1]]
                 reason = None if owners else agent_mod.DiscardReason.STALE_OR_REPLAY
         for request in owners:
             result = self.agent.on_response(request, payload, now)

@@ -14,11 +14,14 @@ type has a fixed layout:
 A response carries 1..129 pooled nonces; 129 fills the 1650-byte broadcast
 budget exactly. `sign` signs every signed message over all bytes before its
 signature field (the identifier and count byte are included deliberately:
-binding them blocks cross-protocol replay and truncation games).
+binding them blocks cross-protocol replay and truncation games). A receiver
+takes that region from the bytes it got through `parse_signed`, the one
+shared parse of a signed payload for users and inventory devices alike.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -337,6 +340,22 @@ def decode(data: bytes) -> WireMessage:
         sealed = bytes(data[off + crypto.AEAD_IV_LEN :])
         return ImResponseMsg(header, iv, sealed)
     raise UnknownProtocolError(f"unrecognized protocol id {proto!r}")
+
+
+@functools.lru_cache(maxsize=16)
+def parse_signed(payload: bytes) -> tuple[SignedMessage, frozenset[bytes], bytes] | None:
+    """A signed payload's message, the request nonces it pools and the
+    bytes its signature covers, sliced as received; None for any other
+    payload. A parse, not a trust decision: every receiver that checks a
+    signature shares it, so a payload heard again soon is a cache hit."""
+    try:
+        message = decode(payload)
+    except WireError:
+        return None
+    if not isinstance(message, SignedMessage):
+        return None
+    nonces = message.pooled_nonces if isinstance(message, ResponseMsg) else ()
+    return message, frozenset(nonces), payload[: -crypto.SIGNATURE_LEN]
 
 
 def encoded_response_len(count: int) -> int:

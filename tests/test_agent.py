@@ -6,7 +6,6 @@ from unittest import mock
 
 import pytest
 
-from pulldisc import agent as agent_mod
 from pulldisc import crypto, registration, wire
 from pulldisc.agent import DeviceReport, DiscardReason, ReportSource, UserAgent, dedup
 from pulldisc.device import Device
@@ -110,18 +109,40 @@ def test_garbage_is_malformed(world):
     assert agent.on_response(pending, b"XX-XXX" + bytes(96), 5.1) is DiscardReason.MALFORMED
 
 
-def test_shared_decode_of_malformed_and_bytearray_payloads(world):
+def test_shared_decode_of_malformed_and_bytearray_payloads(world, record):
+    """The shared parse of a signed payload, cold or warm, equals an
+    uncached one and a fresh decode with the region its message re-encodes
+    to; any other payload parses to None."""
     agent, device = world
-    for junk in (b"", b"junk", wire.ID_RESPONSE + bytes(5), b"XX-XXX" + bytes(96)):
-        assert agent_mod._decode(junk)[:2] == (None, frozenset())
     payload, pending = agent.make_request(5.0)
     response = run_device_round(device, payload, 5.0)
     announcement = device._generate_announcement(7.0).encode()
-    for sent, pooled in ((response, {pending.nonce}), (announcement, set())):
-        message = wire.decode(sent)
-        record = (message, frozenset(pooled), wire.signed_region(message))
-        assert agent_mod._decode(bytes(bytearray(sent))) == record
-    assert agent.pooled_nonces(bytearray(response)) == {pending.nonce}
+    rng = Random(23)
+    key = crypto.generate_keypair(rng).private_key
+    att = wire.AttReport(wire.ATT_SUCCESS, 9)
+    pooled = [tuple(rng.randbytes(12) for _ in range(count)) for count in (1, 2, 129)]
+    signed = [
+        *(wire.ResponseMsg(rng.randbytes(12), nonces, record.url, att, bytes(64))
+          for nonces in pooled),
+        wire.AnnouncementMsg(rng.randbytes(12), record.url, att, bytes(64)),
+        wire.ImRequestMsg(rng.randbytes(12), bytes(64)),
+    ]
+    sent = [response, announcement, *(wire.sign(m, key).encode() for m in signed)]
+    for payload in sent:
+        message = wire.decode(payload)
+        nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
+        fresh = (message, frozenset(nonces), wire.signed_region(message))
+        wire.parse_signed.cache_clear()
+        assert wire.parse_signed(payload) == fresh  # cold
+        assert wire.parse_signed(payload) == fresh  # warm
+        assert wire.parse_signed.__wrapped__(payload) == fresh
+    unsigned = (
+        wire.RequestMsg(rng.randbytes(12)).encode(),
+        wire.ImResponseMsg((rng.randbytes(16),), rng.randbytes(12), rng.randbytes(112)).encode(),
+    )
+    for junk in (b"", b"junk", wire.ID_RESPONSE + bytes(5), b"XX-XXX" + bytes(96), *unsigned):
+        assert wire.parse_signed(junk) is None
+        assert wire.parse_signed.__wrapped__(junk) is None
     report = agent.on_response(pending, bytearray(response), 6.5)
     assert isinstance(report, DeviceReport) and report.verified
 
@@ -180,7 +201,7 @@ def test_memoised_agent_matches_fresh_agents(mfr, descriptor, record, store, mon
         got = memo.on_response(pending, payload, now)
         counting[0] = "fresh"
         fresh = UserAgent((mfr.public_key,), store, Random(0))
-        with mock.patch.object(agent_mod, "_decode", agent_mod._decode.__wrapped__):
+        with mock.patch.object(wire, "parse_signed", wire.parse_signed.__wrapped__):
             assert got == fresh.on_response(pending, payload, now)
         outcomes.add(type(got) if isinstance(got, DeviceReport) else got)
 

@@ -311,6 +311,7 @@ def test_wire_decode_bad_hex(capsys):
         (["provision", "--out", "out", "--count", "0", "--seed", "1", "--pool-max", "0"],
          "pool_max must be an integer"),
         (["scenario", "run", "--config", "not-utf8.json"], "scenario file not-utf8.json"),
+        (["scenario", "run", "--config", "burst.json", "--out", "out"], "burst arrival needs a count"),
         (["analytic", "ubusy", "--t-gen", "5"], "does not read --t-gen"),
         (["analytic", "ubusy", "--t-ann", "9"], "does not read --t-ann"),
         (["analytic", "ubusy", "--push-interval", "2", "--t-req", "3"], "does not read --t-req"),
@@ -327,11 +328,13 @@ def test_wire_decode_bad_hex(capsys):
          "scenario-config-directory", "scan-config-directory", "provision-negative-count",
          "provision-count-0-bad-pool-max", "scenario-config-not-utf8", "ubusy-t-gen",
          "ubusy-t-ann", "ubusy-push-t-req", "bandwidth-announcement-size", "bandwidth-push-t-gen",
-         "table1-push-interval", "im-naive-p"],
+         "table1-push-interval", "im-naive-p", "scenario-countless-burst"],
 )
 def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # relative paths name nothing, and nothing is written to the repo
     (tmp_path / "not-utf8.json").write_bytes(b"\xff{}")
+    countless = dict(SMALL_SCENARIO, users=[{"name": "u", "arrival": {"kind": "burst"}}])
+    (tmp_path / "burst.json").write_text(json.dumps(countless))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -1,6 +1,7 @@
 """Inventory variant: authenticated requests, sealed uniform responses,
 and owner-side identification in both retrieval modes."""
 
+import copy
 import hashlib
 from collections import Counter
 from random import Random
@@ -507,11 +508,24 @@ def test_respond_decodes_only_im_requests(naive_fleet, monkeypatch):
         return decode(payload)
 
     monkeypatch.setattr(wire, "decode", counting_decode)
+    wire.parse_signed.cache_clear()  # device 1's answer above parsed the request
     for payload in not_requests:
         assert devices[0].respond(payload) is None
     assert decoded == []
     assert devices[0].respond(request) is not None
-    assert decoded == [request]
+    assert devices[2].respond(request) is not None
+    assert decoded == [request]  # two devices answering one request parse it once
+
+
+def test_respond_answers_alike_with_the_shared_parse_cold_or_warm(naive_fleet):
+    owner, devices = naive_fleet
+    request = owner.make_request()
+    twin = copy.deepcopy(devices[0])
+    wire.parse_signed.cache_clear()
+    cold = devices[0].respond(request)
+    assert cold is not None
+    assert twin.respond(bytearray(request)) == cold  # warm
+    assert owner.receive(cold).device_id == owner.device_ids[0]
 
 
 def _first_two_responses(mode):

@@ -344,7 +344,7 @@ def test_response_pooling_two_requests_credits_both(monkeypatch):
         return real_decode(payload)
 
     monkeypatch.setattr(wire, "decode", counted_decode)
-    agent._decode.cache_clear()  # an earlier test may have decoded the same payload
+    wire.parse_signed.cache_clear()  # an earlier test may have decoded the same payload
     built, report = scenario.run_scenario(config)
     node = built.agent_nodes[0]
     assert built.device_nodes[0].device.counters.responses == 1  # one response pools both
@@ -560,6 +560,19 @@ def test_bad_arrival_rejected_at_load(arrival):
     doc = {"seed": 1, "horizon": 10.0, "users": [{"name": "u", "arrival": arrival}]}
     with pytest.raises(scenario.ConfigError, match="arrival for user u"):
         scenario.ScenarioConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("arrival", [{"kind": "burst"}, {"kind": "burst", "start": 2.0, "count": None}],
+                         ids=["count-omitted", "count-null"])
+def test_burst_without_count_is_refused_at_load(arrival):
+    # A burst is `count` requests at `start`; without a count it used to
+    # load and then send nothing.
+    doc = {"seed": 1, "horizon": 60.0, "devices": [{"name": "d"}],
+           "users": [{"name": "u", "arrival": arrival}]}
+    with pytest.raises(scenario.ConfigError, match=r"arrival for user u: .*\bcount\b"):
+        scenario.ScenarioConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=r"\bcount\b"):
+        simnet.ArrivalModel(**arrival)
 
 
 def test_burst_arrival_needs_no_interval():
@@ -1026,6 +1039,12 @@ def _scenario_docs(draw, max_edits=4, min_nodes=0):
         sections.append((kind, out))
         return out
 
+    def arrival():
+        out = section("arrival", always=("kind",))
+        if out["kind"] == "burst" and out.get("count") is None:  # a burst is `count` requests
+            out["count"] = draw(st.sampled_from([c for c in _KEYS["arrival"]["count"][0] if c]))
+        return out
+
     doc = section("scenario", always=("seed", "horizon"))
     doc["link"] = section("link")
     doc["devices"] = []
@@ -1038,7 +1057,7 @@ def _scenario_docs(draw, max_edits=4, min_nodes=0):
             dev["blend"] = section("blend", always=tuple(_KEYS["blend"]))
         doc["devices"].append(section("device", dev))
     doc["users"] = [
-        section("user", {"name": f"u{i}", "arrival": section("arrival", always=("kind",))})
+        section("user", {"name": f"u{i}", "arrival": arrival()})
         for i in range(draw(st.integers(min_nodes, 2)))
     ]
     doc["adversaries"] = [
@@ -1200,6 +1219,38 @@ def test_interest_filter_matches_queueing_every_frame_in_inventory():
     assert all(frames > 0 for _, frames in rx.values())
 
 
+def test_inventory_fleet_decodes_each_request_once(monkeypatch):
+    delivered, decoded = [], []
+    real_deliver, real_decode = simnet.ImDeviceNode.handle_deliver, wire.decode
+
+    def recording_deliver(node, frame, now):
+        delivered.append(frame.payload)
+        real_deliver(node, frame, now)
+
+    def counted_decode(payload):
+        if payload.startswith(wire.ID_IM_REQUEST):
+            decoded.append(payload)
+        return real_decode(payload)
+
+    monkeypatch.setattr(simnet.ImDeviceNode, "handle_deliver", recording_deliver)
+    monkeypatch.setattr(wire, "decode", counted_decode)
+    wire.parse_signed.cache_clear()
+    rng = Random(41)
+    owner = Owner(crypto.generate_keypair(rng), Random(42))
+    infos = [build_device_info(f"unit-{i:07d}".encode(), 1, 1) for i in range(8)]
+    world = simnet.World(seed=43)
+    owner_node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 2.5, 4.0]))
+    for i, device in enumerate(owner.enroll_lkh_fleet(infos, b"inventory image", 2, rng)):
+        world.add_node(simnet.ImDeviceNode(f"d{i}", device))
+    world.add_node(simnet.AdversaryNode("forger", "forge_request", Random(44), rate=2.0))
+    world.run_until(6.0)
+    requests = [p for p in delivered if p.startswith(wire.ID_IM_REQUEST)]
+    assert len(set(requests)) >= 3 + 10  # the owner's rounds and the forger's
+    assert len(requests) >= 8 * len(set(requests))  # every device hears each one
+    assert sorted(decoded) == sorted(set(requests))
+    assert len(owner_node.receipts) == 3 * 8
+
+
 def test_a_node_added_after_a_run_hears_later_frames():
     def run():
         world = simnet.World(seed=1)
@@ -1292,15 +1343,15 @@ def test_shared_decode_equals_a_fresh_decode_of_every_delivered_payload(monkeypa
 
     monkeypatch.setattr(simnet.AgentNode, "handle_deliver", recording_deliver)
     monkeypatch.setattr(wire, "decode", counted_decode)
-    agent._decode.cache_clear()
+    wire.parse_signed.cache_clear()
     scenario.run_scenario(scenario.ScenarioConfig.from_dict(_FLOOD))
     monkeypatch.undo()
     distinct = set(delivered)
     assert sorted(decoded) == sorted(distinct)  # one decode per payload, for every user
     kinds = set()
     for payload in distinct:
-        agent._decode.cache_clear()
-        message, pooled, region = agent._decode(payload)
+        wire.parse_signed.cache_clear()
+        message, pooled, region = wire.parse_signed(payload)
         assert message == wire.decode(payload)
         kinds.add(type(message))
         nonces = message.pooled_nonces if isinstance(message, wire.ResponseMsg) else ()
