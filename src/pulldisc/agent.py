@@ -46,7 +46,7 @@ class PendingRequest:
     scan_window: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceReport:
     manifest: registration.Manifest
     att_result: int

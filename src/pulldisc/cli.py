@@ -163,14 +163,14 @@ def _cmd_analytic(args) -> int:
 def _cmd_lkh_demo(args) -> int:
     rng = Random(args.seed)
     tree = keytree.build_tree(args.n, args.p, rng)
+    if args.device is not None and not 0 <= args.device < tree.leaf_count:
+        raise ValueError(f"device index {args.device} out of range [0, {tree.leaf_count})")
     counts = keytree.storage_counts(tree)
     print(f"devices={tree.leaf_count} arity={tree.arity} padded={tree.padded_leaves} height={tree.height}")
     print(
         f"device_keys={counts.device_keys} owner_keys={counts.owner_keys} "
         f"header_bytes={counts.header_bytes}"
     )
-    if args.device is not None and not 0 <= args.device < tree.leaf_count:
-        raise ValueError(f"device index {args.device} out of range [0, {tree.leaf_count})")
     target = args.device if args.device is not None else rng.randrange(tree.leaf_count)
     nonce = rng.randbytes(wire.NONCE_LEN)
     vector = keytree.device_key_vector(tree, target)

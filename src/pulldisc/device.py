@@ -288,12 +288,14 @@ class Device:
 
     def _signed(self, cls, now: float, **fields):
         """Build a `cls` message with a fresh nonce and this device's
-        attestation report, aged at the start of its window, and sign it."""
+        attestation report, aged at the start of its window, and sign it.
+        An age past the wire field's maximum is sent as that maximum."""
         start = max(now, self.counters.busy_until)
+        age = min(int(start - self.last_att_time), wire.ATT_AGE_MAX)
         unsigned = cls(
             device_nonce=self.rng.randbytes(wire.NONCE_LEN),
             url=self.provisioning.url,
-            att_report=wire.AttReport(self.att_result, int(start - self.last_att_time)),
+            att_report=wire.AttReport(self.att_result, age),
             signature=bytes(crypto.SIGNATURE_LEN),
             **fields,
         )

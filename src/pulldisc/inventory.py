@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +49,7 @@ class ImDiscard(enum.Enum):
     REPLAY = "replay"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImReceipt:
     """Successful owner-side decryption of one inventory response."""
 
@@ -142,7 +143,7 @@ class Owner:
         self.counters = Counters()
         # The naive scan's order for the outstanding request (enrollment
         # indices) and the keys in that order; see make_request.
-        self._scan_order: list[int] = []
+        self._scan_order = array("I")
         self._scan_keys: list[bytes] = []
         self._responders: set[int] = set()  # indices with a receipt since the last request
         self._image: tuple[bytes | None, bytes] = (None, b"")  # the last image enrolled, hashed
@@ -226,10 +227,13 @@ class Owner:
         # devices that answered the last request are scanned first; every
         # other key follows, each part in enrollment order.
         responders, self._responders = self._responders, set()
-        order = sorted(responders)
-        order += (i for i in range(len(self.device_ids)) if i not in responders)
-        keys = list(self.key_table.values())
-        self._scan_order, self._scan_keys = order, [keys[i] for i in order]
+        first = sorted(responders)
+        self._scan_order = array("I", first)
+        self._scan_order.extend(i for i in range(len(self.device_ids)) if i not in responders)
+        self._scan_keys = [self.key_table[self.device_ids[i]] for i in first]
+        self._scan_keys += (
+            key for i, key in enumerate(self.key_table.values()) if i not in responders
+        )
         return request.encode()
 
     def receive(self, payload: bytes) -> ImReceipt | ImDiscard:

@@ -33,6 +33,7 @@ import heapq
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from random import Random
@@ -94,7 +95,7 @@ class Metrics:
     horizon: float
     per_node: dict[str, device_mod.Counters] = field(default_factory=dict)
     frames_dropped: int = 0
-    latencies: dict[str, list[float]] = field(default_factory=dict)
+    latencies: dict[str, array] = field(default_factory=dict)  # array('d') per user
 
     def to_doc(self) -> dict:
         """The metrics.json document, which report.json also embeds."""
@@ -393,7 +394,7 @@ class AgentNode(Node):
         self.pending: dict[bytes, agent_mod.PendingRequest] = {}
         self.reports: list[agent_mod.DeviceReport] = []
         self.discards = self.counters.rejects  # by reason
-        self.latencies: list[float] = []
+        self.latencies = array("d")  # unboxed: one sample per response report
         # Response payloads and (anchor nonce, announcement) pairs in the
         # order settled, each mapped to one scan window after its first copy.
         self.handled: dict[bytes | tuple[bytes, bytes], float] = {}

@@ -31,6 +31,7 @@ from . import crypto
 NONCE_LEN = 12
 URL_TOKEN_LEN = 14
 ATT_REPORT_LEN = 5
+ATT_AGE_MAX = 2**32 - 1  # the attestation age field is an unsigned 32-bit count of seconds
 REQUEST_LEN = 18
 RESPONSE_BASE_LEN = 102  # every fixed field, zero pooled nonces
 RESPONSE_MAX_NONCES = 129
@@ -89,7 +90,7 @@ class AttReport:
     def __post_init__(self):
         if self.result not in (ATT_SUCCESS, ATT_FAIL):
             raise InvariantError("attestation result flag must be 0x00 or 0x01")
-        if not 0 <= self.seconds_since < 2**32:
+        if not 0 <= self.seconds_since <= ATT_AGE_MAX:
             raise InvariantError("attestation age must fit an unsigned 32-bit field")
 
     def encode(self) -> bytes:

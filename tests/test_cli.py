@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import pulldisc
-from pulldisc import keytree, registration, scenario, simnet, wire
+from pulldisc import crypto, inventory, keytree, registration, scenario, simnet, wire
 from pulldisc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -267,6 +267,35 @@ def test_wire_decode_full_response(capsys):
     assert "count: 129" in out and "length: 1650" in out
 
 
+def test_wire_decode_inventory_request_and_response(capsys):
+    rng = Random(9)
+    owner = inventory.Owner(crypto.generate_keypair(rng), Random(10))
+    infos = [inventory.build_device_info(f"unit-{i:07d}".encode(), 7, 3) for i in range(2)]
+    devices = owner.enroll_lkh_fleet(infos, b"inventory-image", 2, rng)
+    request = owner.make_request()
+    response = devices[1].respond(request)
+    req, res = wire.decode(request), wire.decode(response)
+    assert main(["wire", "decode", "--hex", request.hex()]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kind: ImRequestMsg",
+        f"length: {len(request)}",
+        f"owner_nonce: {req.owner_nonce.hex()}",
+        f"signed_region: {wire.signed_region(req).hex()}",
+        f"signature: {req.signature.hex()}",
+    ]
+    assert main(["wire", "decode", "--hex", response.hex()]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kind: ImResponseMsg",
+        f"length: {len(response)}",
+        f"header_fields: {len(res.lkh_header)}",
+        *(f"header[{i}]: {field.hex()}" for i, field in enumerate(res.lkh_header)),
+        f"iv: {res.iv.hex()}",
+        f"ciphertext: {res.ciphertext.hex()}",
+        f"tag: {res.tag.hex()}",
+    ]
+    assert len(res.lkh_header) == 1  # a fleet of two has a one-level tree
+
+
 def test_wire_decode_truncated_reports_offset(capsys):
     payload = wire.RequestMsg(bytes(12)).encode()[:-1]
     rc = main(["wire", "decode", "--hex", payload.hex()])
@@ -336,7 +365,8 @@ def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv,
     countless = dict(SMALL_SCENARIO, users=[{"name": "u", "arrival": {"kind": "burst"}}])
     (tmp_path / "burst.json").write_text(json.dumps(countless))
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # the --out of every provision case

@@ -139,6 +139,14 @@ def test_replay_rejected_after_rotation_lkh(lkh_fleet):
     assert owner.receive(stale) is ImDiscard.REPLAY
 
 
+def test_a_response_before_any_request_is_a_replay(naive_fleet):
+    owner, devices = naive_fleet
+    twin = Owner(owner.keypair, Random(38))  # signs with the same key
+    response = devices[4].respond(twin.make_request())
+    assert owner.receive(response) is ImDiscard.REPLAY
+    assert owner.counters.rejects == {"replay": 1} and owner.counters.receipts == 0
+
+
 def test_garbage_is_forged_or_foreign(naive_fleet):
     owner, _ = naive_fleet
     owner.make_request()
@@ -462,6 +470,16 @@ def test_failed_naive_enrollment_changes_nothing(naive_fleet):
     device = owner.enroll_naive(info(12), b"inventory image", rng)
     assert owner.device_ids == [*ids, info(12)[:12]]
     assert isinstance(owner.receive(device.respond(owner.make_request())), ImReceipt)
+
+
+def test_fleet_enrollment_after_naive_enrollment_is_refused(naive_fleet):
+    owner, devices = naive_fleet
+    ids, table = list(owner.device_ids), dict(owner.key_table)
+    with pytest.raises(ValueError, match="fleet already enrolled"):
+        owner.enroll_lkh_fleet([info(20), info(21)], b"inventory image", 2, Random(45))
+    assert owner.tree is None and owner.device_ids == ids and owner.key_table == table
+    result = owner.receive(devices[5].respond(owner.make_request()))
+    assert isinstance(result, ImReceipt) and result.trials == 6
 
 
 def test_failed_key_table_load_changes_nothing(tmp_path, naive_fleet):

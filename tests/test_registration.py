@@ -97,6 +97,31 @@ def test_non_self_signed_mfr_cert_rejected(mfr, descriptor, rng):
         registration.verify_manifest(manifest_bytes, signature, [mfr.public_key])
 
 
+@pytest.mark.parametrize(
+    "names_the_manufacturer, message",
+    [(False, "not issued by the manufacturer"), (True, "device certificate signature invalid")],
+    ids=["issued-by-another-key", "bad-signature"],
+)
+def test_device_cert_not_signed_by_the_manufacturer_rejected(
+    mfr, rng, names_the_manufacturer, message
+):
+    keypair = crypto.generate_keypair(rng)
+    other = crypto.generate_keypair(rng)
+    device_cert = registration.issue_cert("camera", keypair.public_key, other)
+    if names_the_manufacturer:  # claims the manufacturer as issuer, signed by another key
+        device_cert = registration.CertRecord(
+            "camera", keypair.public_key, mfr.public_key, device_cert.signature
+        )
+    mfr_cert = registration.issue_cert("mfr", mfr.public_key, mfr)
+    manifest = registration.Manifest(
+        keypair.public_key, mfr_cert, device_cert, "camera", ("video",), "1", "x", "u"
+    )
+    manifest_bytes = manifest.to_canonical()
+    signature = crypto.sign(mfr.private_key, manifest_bytes)
+    with pytest.raises(registration.ManifestVerificationError, match=message):
+        registration.verify_manifest(manifest_bytes, signature, [mfr.public_key])
+
+
 def test_canonical_form_is_byte_stable(mfr, record, store):
     manifest_bytes, _ = registration.resolve_manifest(store, record.url)
     manifest = registration.Manifest.from_canonical(manifest_bytes)

@@ -40,6 +40,14 @@ def test_broadcast_reaches_every_other_node():
     assert a.received == []
 
 
+def test_a_repeated_node_name_is_refused():
+    world = simnet.World(seed=1)
+    first = world.add_node(Sink("a"))
+    with pytest.raises(ValueError, match="duplicate node name 'a'"):
+        world.add_node(Sink("a"))
+    assert world.nodes == {"a": first} and list(world.metrics.per_node) == ["a"]
+
+
 def test_total_loss_delivers_nothing():
     world = simnet.World(seed=1, link=simnet.LinkConfig(p_loss=1.0))
     world.add_node(Sink("a"))
@@ -527,6 +535,12 @@ def test_unknown_scenario_keys_rejected():
         scenario.ScenarioConfig.from_dict(
             {"seed": 1, "horizon": 10.0, "devices": [{"name": "d", "nope": 1}]}
         )
+
+
+@pytest.mark.parametrize("doc", [[], "scenario", None], ids=["list", "string", "null"])
+def test_a_scenario_that_is_not_an_object_is_refused(doc):
+    with pytest.raises(scenario.ConfigError, match="scenario must be a JSON object"):
+        scenario.ScenarioConfig.from_dict(doc)
 
 
 def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
@@ -1093,6 +1107,12 @@ def _budgeted_heapq(budget: int):
           "users": [{"name": "u0", "arrival": {"kind": "poisson", "interval": math.inf}}]})
 @example({"seed": 1, "horizon": 5.0, "link": {"manifest_fetch_delay": math.inf},
           "devices": [{"name": "d0"}], "users": [{"name": "u0"}]})
+# Attestation ages past the 32-bit wire field: one from a long wait between
+# attestations, one from an attestation that keeps the device busy for years.
+@example({"seed": 1, "horizon": 5e9, "devices": [{"name": "d", "t_att": 1e10}],
+          "users": [{"name": "u", "arrival": {"kind": "burst", "count": 1, "start": 4.4e9}}]})
+@example({"seed": 1, "horizon": 1000.0, "devices": [{"name": "d", "t_att": 10.0, "t_att_exec": 5e9}],
+          "users": [{"name": "u", "arrival": {"kind": "periodic", "interval": 100.0}}]})
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_random_config_runs_as_written_or_is_rejected(doc):
     try:
@@ -1443,15 +1463,17 @@ def _recorded_heapq(pushed: list):
     return types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
 
 
-def _stale_copies(link: simnet.LinkConfig, scan_window: float, arrivals: simnet.ArrivalModel):
-    """Ten copies, sent from 1.0 s, of a response that pools none of one
-    user's requests, run both ways: the user's discards and reports, its
-    rx frames and the delivery events queued for it."""
+def _stale_copies(link: simnet.LinkConfig, scan_window: float, arrivals: simnet.ArrivalModel,
+                  stale: bytes | None = None):
+    """Ten copies, sent from 1.0 s, of `stale` (by default a response that
+    pools none of one user's requests), run both ways: the user's discards
+    and reports, its rx frames and the delivery events queued for it."""
     rng = Random(7)
-    stale = wire.ResponseMsg(
-        rng.randbytes(12), (rng.randbytes(12),), b"ZZzzZZzzZZzzZZ",
-        wire.AttReport(wire.ATT_SUCCESS, 0), rng.randbytes(64),
-    ).encode()
+    if stale is None:
+        stale = wire.ResponseMsg(
+            rng.randbytes(12), (rng.randbytes(12),), b"ZZzzZZzzZZzzZZ",
+            wire.AttReport(wire.ATT_SUCCESS, 0), rng.randbytes(64),
+        ).encode()
 
     def run():
         world = simnet.World(seed=1, link=link)
@@ -1482,6 +1504,20 @@ def test_a_copy_landing_after_its_record_lapses_is_handled_again():
     fast, reference = _stale_copies(link, 0.05, simnet.ArrivalModel("periodic", interval=0.01))
     assert fast == ({"stale-or-replay": 5}, 0, 10, 5)  # copies 1, 3, 5, 7 and 9
     assert reference == ({"stale-or-replay": 5}, 0, 10, 10)
+
+
+def test_copies_of_a_malformed_response_make_one_discard_per_window():
+    malformed = wire.ID_RESPONSE + bytes(40)  # a response's identifier, then nothing that parses
+    burst = simnet.ArrivalModel("burst", count=1)
+    fast, reference = _stale_copies(simnet.LinkConfig(), 10.0, burst, malformed)
+    assert fast == ({"malformed": 1}, 0, 10, 1)
+    assert reference == ({"malformed": 1}, 0, 10, 10)
+    # The record-lapse timing of the stale case above: copies 1, 3, 5, 7 and 9.
+    link = simnet.LinkConfig(latency_min=0.02, latency_max=0.02)
+    periodic = simnet.ArrivalModel("periodic", interval=0.01)
+    fast, reference = _stale_copies(link, 0.05, periodic, malformed)
+    assert fast == ({"malformed": 5}, 0, 10, 5)
+    assert reference == ({"malformed": 5}, 0, 10, 10)
 
 
 def test_manifest_published_between_copies_is_reported():
