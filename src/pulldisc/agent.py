@@ -3,7 +3,7 @@
 Verification runs a strict pipeline; the first failing step maps to a
 typed discard reason and no partial report ever escapes:
 
-    decode -> own-nonce membership (responses only) -> manifest fetch
+    decode -> own-nonce membership (responses only) -> store lookup
            -> manifest + cert chain verification -> response signature
 
 Announcements from push/blend devices go through the same pipeline minus
@@ -111,14 +111,11 @@ class UserAgent:
         else:
             return DiscardReason.MALFORMED
 
-        try:
-            manifest_bytes, manifest_sig = registration.resolve_manifest(
-                self.store, message.url
-            )
-        except registration.ManifestNotFound:
+        entry = self.store.get(message.url)
+        if entry is None:
             return DiscardReason.MANIFEST_UNAVAILABLE
 
-        manifest = self._verified_manifest(manifest_bytes, manifest_sig)
+        manifest = self._verified_manifest(*entry)
         if manifest is DiscardReason.MANIFEST_INVALID:
             return manifest
 

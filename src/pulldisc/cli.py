@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 from random import Random
 
-from . import (__version__, analytics, crypto, inventory, keytree, ranges, registration, scenario,
-               simnet, wire)
+from . import (__version__, agent, analytics, crypto, inventory, keytree, ranges, registration,
+               scenario, simnet, wire)
 
 CONFIG_DIR_ENV = "PULLDISC_CONFIG_DIR"
 
@@ -82,7 +82,7 @@ def _cmd_scan(args) -> int:
     config = scenario.ScenarioConfig.load(_resolve_config(args.config))
     built, _report = scenario.run_scenario(config)
     for node in built.agent_nodes:
-        for report in node.deduped_reports():
+        for report in agent.dedup(node.reports):
             doc = {"user": node.name}
             doc.update(report.to_json_fields())
             print(json.dumps(doc, sort_keys=True))

@@ -30,11 +30,9 @@ CURVE = ec.SECP256R1()
 # Order of the P-256 base point; private scalars live in [1, GROUP_ORDER).
 GROUP_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
-PUBLIC_KEY_LEN = 65  # uncompressed point: 0x04 || x || y
 PRIVATE_KEY_LEN = 32
 SIGNATURE_LEN = 64  # raw r || s, 32 bytes each
 SYMMETRIC_KEY_LEN = 16
-DIGEST_LEN = 32
 PRF_OUTPUT_LEN = 16
 AEAD_IV_LEN = 12
 AEAD_TAG_LEN = 16

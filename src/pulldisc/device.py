@@ -85,10 +85,11 @@ class BlendPolicy:
 
 @dataclass
 class Counters:
-    """One node's cost record, for every role: the simulator adds the
-    radio fields, inventory devices and owners keep the last four, and a
-    user its discards in `rejects`. `busy_seconds` is serialized work
-    (`occupy`); `World.run_until` clips it at the horizon, carrying the rest."""
+    """One node's cost record, for every role: the simulator adds the radio
+    fields, a device what it signs, attests and answers, an owner the requests
+    it signs, its receipts and rejects, and a user its discards in `rejects`.
+    `busy_seconds` is serialized work (`occupy`); `World.run_until` clips it
+    at the horizon, carrying the rest."""
 
     busy_seconds: float = 0.0
     busy_until: float = 0.0  # when the work charged so far ends
@@ -103,7 +104,6 @@ class Counters:
     dropped_nonces: int = 0
     pool_tmp_peak: int = 0
     wasted_verifications: int = 0  # bad-signature requests burned a verify
-    requests: int = 0
     receipts: int = 0
     rejects: dict[str, int] = field(default_factory=dict)
 
@@ -163,7 +163,6 @@ class Device:
         self.pool_tmp: list[bytes] = []
         self.gen_deadline: float | None = None
         self.pending_att = False
-        self.pending_gen = False
         self.push_until: float | None = None
         self.att_result = wire.ATT_FAIL
         self.last_att_time = 0.0
@@ -236,11 +235,7 @@ class Device:
         if kind is TimerKind.GEN_DEADLINE:
             if self.gen_deadline != at:
                 return []  # superseded (pool filled early, or already drained)
-            self.gen_deadline = None
-            if self.in_gen:
-                # Deadline expired during an announcement window; generate
-                # as soon as the radio frees up.
-                self.pending_gen = True
+            if self.in_gen:  # an announcement window: stays armed for `_complete_gen`
                 return []
             return self._enter_gen(at)
 
@@ -261,11 +256,6 @@ class Device:
         raise ValueError(f"unknown timer kind {kind}")
 
     # -- attestation -------------------------------------------------------
-
-    def attest_now(self, now: float) -> int:
-        """Measure the image against the provisioned hash; returns the flag."""
-        self._attest(now)
-        return self.att_result
 
     def _attest(self, now: float, counted: bool = True) -> None:
         # A counted attestation runs, and is stamped, when the work queued before it ends.
@@ -329,8 +319,9 @@ class Device:
             self.pending_att = False
             self._attest(now)
 
-        if self.pending_gen or len(self.pool) >= self.provisioning.pool_max:
-            self.pending_gen = False
+        # A deadline before `now` expired in the window; one at `now` fires next.
+        expired = self.gen_deadline is not None and self.gen_deadline < now
+        if expired or len(self.pool) >= self.provisioning.pool_max:
             actions.extend(self._enter_gen(now))
         elif self.pool and self.gen_deadline is None:
             self.gen_deadline = now + self.provisioning.t_gen

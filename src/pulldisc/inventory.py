@@ -119,6 +119,7 @@ class ImDevice:
             self.record.shared_key, iv, plaintext, _associated_data(header)
         )
         self.counters.responses += 1
+        self.counters.attestations += 1
         return wire.ImResponseMsg(header, iv, sealed).encode()
 
 
@@ -222,7 +223,7 @@ class Owner:
         unsigned = wire.ImRequestMsg(nonce, bytes(crypto.SIGNATURE_LEN))
         request = wire.sign(unsigned, self.keypair.private_key)
         self.outstanding_nonce = nonce
-        self.counters.requests += 1
+        self.counters.signatures += 1
         # An owner solicits the same premises round after round, so the
         # devices that answered the last request are scanned first; every
         # other key follows, each part in enrollment order.

@@ -1,9 +1,10 @@
 """Provisioning: key generation, manifests, certificates, and URL tokens.
 
 The manufacturer signs a canonical manifest for each discovery-enabled
-device and hosts it under a short URL token; user agents later fetch and
-verify it before trusting a response. Inventory-mode devices instead get
-a compact secret record shared with their owner and need no manifest.
+device and hosts it under a short URL token; user agents look it up in
+the store and verify it before trusting a response. Inventory-mode
+devices instead get a compact secret record shared with their owner and
+need no manifest.
 
 Manifests are canonicalized as key-sorted compact JSON with byte fields
 hex-encoded, and signatures always cover the exact stored bytes.
@@ -26,10 +27,6 @@ _TOKEN_RETRIES = 32
 
 class ProvisioningError(ValueError):
     """Bad provisioning parameters (pool cap, timer values, ...)."""
-
-
-class ManifestNotFound(LookupError):
-    """URL token has no manifest in the store."""
 
 
 class ManifestVerificationError(ValueError):
@@ -192,6 +189,7 @@ class ManifestStore:
         self._entries[token] = (manifest_bytes, signature)
 
     def get(self, token: bytes) -> tuple[bytes, bytes] | None:
+        """The exact stored (manifest bytes, signature) for a token, or None."""
         return self._entries.get(token)
 
     def tokens(self) -> list[bytes]:
@@ -287,14 +285,6 @@ def provision_im_device(
     return ImProvisioningRecord(
         owner_public_key, rng.randbytes(crypto.SYMMETRIC_KEY_LEN), software_hash
     )
-
-
-def resolve_manifest(store: ManifestStore, url: bytes) -> tuple[bytes, bytes]:
-    """Exact stored (manifest bytes, signature) for a token."""
-    entry = store.get(url)
-    if entry is None:
-        raise ManifestNotFound(f"no manifest stored under {url!r}")
-    return entry
 
 
 def verify_manifest(

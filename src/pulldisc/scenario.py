@@ -134,9 +134,6 @@ class ScenarioConfig:
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(doc)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class BuiltScenario:
@@ -274,7 +271,7 @@ def run_scenario(config: ScenarioConfig, capture_frames: bool = False) -> tuple[
         ),
     }
     report = RunReport(
-        config=config.to_dict(),
+        config=asdict(config),
         metrics=metrics,
         checks=checks,
         tool_version=__version__,

@@ -153,7 +153,6 @@ class World:
         self.link = link or LinkConfig()
         self.rng = Random(f"link/{seed}")
         self.nodes: dict[str, Node] = {}
-        self._domains: dict[str, list[Node]] = {}  # members of each domain, in joining order
         # (domain, frame kind) -> (node, hears the kind, handled, counters) per member.
         self._fanout: dict[tuple[str, bytes], list[tuple]] = {}
         self._queue: list = []
@@ -162,7 +161,6 @@ class World:
         self.metrics = Metrics(horizon=0.0)
         self.capture_frames = capture_frames
         self.captured: list[tuple[float, str, Frame]] = []
-        self._static_addr: dict[str, bytes] = {}
         self._started = False
         # Horizon of the run in progress; outside a run nothing is due yet.
         self._horizon = -math.inf
@@ -179,7 +177,6 @@ class World:
             raise ValueError(f"duplicate node name {node.name!r}")
         node.world = self
         self.nodes[node.name] = node
-        self._domains.setdefault(node.domain, []).append(node)
         self._fanout.clear()
         self.metrics.per_node[node.name] = node.counters
         if self._started:  # joins a run in progress
@@ -205,9 +202,7 @@ class World:
     def _frame_identity(self, sender: str) -> tuple[bytes, bytes]:
         if self.link.randomize_addresses:
             return self.rng.randbytes(6), self.rng.randbytes(16)
-        if sender not in self._static_addr:
-            self._static_addr[sender] = Random(f"addr/{self.seed}/{sender}").randbytes(6)
-        return self._static_addr[sender], bytes(16)
+        return Random(f"addr/{self.seed}/{sender}").randbytes(6), bytes(16)
 
     def broadcast(self, sender: str, payload: bytes, now: float, wire_size: int | None = None) -> None:
         """Deliver to every other node in the sender's domain, minus losses.
@@ -240,7 +235,7 @@ class World:
         if fanout is None:
             fanout = self._fanout[key] = [
                 (node, node.hears is None or key[1] in node.hears, node.handled, node.counters)
-                for node in self._domains[key[0]]
+                for node in self.nodes.values() if node.domain == key[0]
             ]
         dropped = 0
         for node, hears, handled, counters in fanout:
@@ -469,9 +464,6 @@ class AgentNode(Node):
             while handled and next(iter(handled.values())) < now:  # all last one window
                 del handled[next(iter(handled))]
             handled[key] = now + self.agent.scan_window
-
-    def deduped_reports(self) -> list[agent_mod.DeviceReport]:
-        return agent_mod.dedup(self.reports)
 
 
 def _times(name: str, times) -> list[float]:

@@ -72,7 +72,6 @@ class MalformedError(WireError):
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (at byte {offset})")
-        self.offset = offset
 
 
 def _check_nonce(value: bytes, name: str) -> None:
@@ -216,11 +215,8 @@ class ImResponseMsg:
     def tag(self) -> bytes:
         return self.sealed[IM_PLAINTEXT_LEN:]
 
-    def header_bytes(self) -> bytes:
-        return b"".join(self.lkh_header)
-
     def encode(self) -> bytes:
-        return ID_IM_RESPONSE + self.header_bytes() + self.iv + self.sealed
+        return ID_IM_RESPONSE + b"".join(self.lkh_header) + self.iv + self.sealed
 
 
 WireMessage = RequestMsg | ResponseMsg | AnnouncementMsg | ImRequestMsg | ImResponseMsg

@@ -40,7 +40,7 @@ def test_provision_writes_store_and_trust(tmp_path, capsys):
     records = json.loads((tmp_path / "prov" / "devices.json").read_text())
     assert len(records) == 3
     token = records[0]["url"].encode("ascii")
-    manifest_bytes, sig = registration.resolve_manifest(store, token)
+    manifest_bytes, sig = store.get(token)
     manifest = registration.verify_manifest(manifest_bytes, sig, keys)
     assert manifest.device_public_key.hex() == records[0]["public_key"]
 
@@ -50,7 +50,7 @@ def _provisioned(tmp_path, *flags):
     assert main(["provision", "--out", str(out), "--seed", "9", *flags]) == 0
     store = registration.ManifestStore.load_dir(out / "manifests")
     records = json.loads((out / "devices.json").read_text())
-    manifest_bytes, _ = registration.resolve_manifest(store, records[0]["url"].encode("ascii"))
+    manifest_bytes, _ = store.get(records[0]["url"].encode("ascii"))
     return registration.Manifest.from_canonical(manifest_bytes), records[0]
 
 
@@ -316,48 +316,61 @@ def test_wire_decode_bad_hex(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["lkh", "demo", "--n", "1", "--seed", "1"], "at least 2 devices"),
-        (["lkh", "demo", "--n", "8", "--seed", "1", "--device", "99"], "device index 99"),
-        (["im", "solicit", "--devices", "1", "--mode", "lkh", "--seed", "1"], "at least 2 devices"),
-        (["im", "solicit", "--p", "1", "--mode", "lkh", "--seed", "1"], "arity must be at least 2"),
-        (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", "a,b"],
-         "invalid literal"),
-        (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", ""],
-         "invalid literal"),
-        (["scenario", "run", "--config", str(SCENARIOS / "hotel.json"), "--sweep", "1,1"],
-         "--sweep repeats a seed"),
-        (["analytic", "ubusy", "--t-req", "0"], "must be positive"),
-        (["analytic", "ubusy", "--t-req", "nan"], "must be positive and finite"),
-        (["analytic", "table1", "--t-ann", "nan"], "t_ann must be >= 0 and finite"),
-        (["analytic", "bandwidth", "--t-req", "nan"], "crowded_t_req must be positive and finite"),
-        (["im", "solicit", "--devices", "0", "--mode", "naive", "--seed", "1"],
-         "at least 1 device"),
-        (["wire", "decode", "--file", "missing.bin"], "cannot read missing.bin"),
-        (["wire", "decode", "--file", str(SCENARIOS)], "cannot read"),
-        (["scenario", "run", "--config", str(SCENARIOS)], "cannot read scenario file"),
-        (["scan", "--config", str(SCENARIOS)], "cannot read scenario file"),
-        (["provision", "--out", "out", "--count", "-1", "--seed", "1"], "--count must be >= 0"),
-        (["provision", "--out", "out", "--count", "0", "--seed", "1", "--pool-max", "0"],
-         "pool_max must be an integer"),
-        (["scenario", "run", "--config", "not-utf8.json"], "scenario file not-utf8.json"),
-        (["scenario", "run", "--config", "burst.json", "--out", "out"], "burst arrival needs a count"),
-        (["analytic", "ubusy", "--t-gen", "5"], "does not read --t-gen"),
-        (["analytic", "ubusy", "--t-ann", "9"], "does not read --t-ann"),
-        (["analytic", "ubusy", "--push-interval", "2", "--t-req", "3"], "does not read --t-req"),
-        (["analytic", "bandwidth", "--announcement-size", "0"],
-         "does not read --announcement-size"),
-        (["analytic", "bandwidth", "--push-interval", "1", "--t-gen", "5"],
-         "does not read --t-gen"),
-        (["analytic", "table1", "--push-interval", "1"], "does not read --push-interval"),
-        (["im", "solicit", "--mode", "naive", "--p", "7", "--seed", "1"], "does not read --p"),
+        pytest.param(["lkh", "demo", "--n", "1", "--seed", "1"], "at least 2 devices",
+                     id="lkh-one-device"),
+        pytest.param(["lkh", "demo", "--n", "8", "--seed", "1", "--device", "99"],
+                     "device index 99", id="lkh-device-out-of-range"),
+        pytest.param(["im", "solicit", "--devices", "1", "--mode", "lkh", "--seed", "1"],
+                     "at least 2 devices", id="im-one-device"),
+        pytest.param(["im", "solicit", "--p", "1", "--mode", "lkh", "--seed", "1"],
+                     "arity must be at least 2", id="im-arity-1"),
+        pytest.param(["scenario", "run", "--config", str(SCENARIOS / "hotel.json"),
+                      "--sweep", "a,b"], "invalid literal", id="sweep-not-seeds"),
+        pytest.param(["scenario", "run", "--config", str(SCENARIOS / "hotel.json"),
+                      "--sweep", ""], "invalid literal", id="sweep-empty"),
+        pytest.param(["scenario", "run", "--config", str(SCENARIOS / "hotel.json"),
+                      "--sweep", "1,1"], "--sweep repeats a seed", id="sweep-repeated"),
+        pytest.param(["analytic", "ubusy", "--t-req", "0"], "must be positive",
+                     id="ubusy-zero-interval"),
+        pytest.param(["analytic", "ubusy", "--t-req", "nan"], "must be positive and finite",
+                     id="ubusy-nan-interval"),
+        pytest.param(["analytic", "table1", "--t-ann", "nan"], "t_ann must be >= 0 and finite",
+                     id="table1-nan-cost"),
+        pytest.param(["analytic", "bandwidth", "--t-req", "nan"],
+                     "crowded_t_req must be positive and finite", id="bandwidth-nan-interval"),
+        pytest.param(["im", "solicit", "--devices", "0", "--mode", "naive", "--seed", "1"],
+                     "at least 1 device", id="im-no-devices"),
+        pytest.param(["wire", "decode", "--file", "missing.bin"], "cannot read missing.bin",
+                     id="wire-file-missing"),
+        pytest.param(["wire", "decode", "--file", str(SCENARIOS)], "cannot read",
+                     id="wire-file-directory"),
+        pytest.param(["scenario", "run", "--config", str(SCENARIOS)], "cannot read scenario file",
+                     id="scenario-config-directory"),
+        pytest.param(["scan", "--config", str(SCENARIOS)], "cannot read scenario file",
+                     id="scan-config-directory"),
+        pytest.param(["provision", "--out", "out", "--count", "-1", "--seed", "1"],
+                     "--count must be >= 0", id="provision-negative-count"),
+        pytest.param(["provision", "--out", "out", "--count", "0", "--seed", "1",
+                      "--pool-max", "0"], "pool_max must be an integer", id="provision-count-0-bad-pool-max"),
+        pytest.param(["scenario", "run", "--config", "not-utf8.json"],
+                     "scenario file not-utf8.json", id="scenario-config-not-utf8"),
+        pytest.param(["scenario", "run", "--config", "burst.json", "--out", "out"],
+                     "burst arrival needs a count", id="scenario-countless-burst"),
+        pytest.param(["analytic", "ubusy", "--t-gen", "5"], "does not read --t-gen",
+                     id="ubusy-t-gen"),
+        pytest.param(["analytic", "ubusy", "--t-ann", "9"], "does not read --t-ann",
+                     id="ubusy-t-ann"),
+        pytest.param(["analytic", "ubusy", "--push-interval", "2", "--t-req", "3"],
+                     "does not read --t-req", id="ubusy-push-t-req"),
+        pytest.param(["analytic", "bandwidth", "--announcement-size", "0"],
+                     "does not read --announcement-size", id="bandwidth-announcement-size"),
+        pytest.param(["analytic", "bandwidth", "--push-interval", "1", "--t-gen", "5"],
+                     "does not read --t-gen", id="bandwidth-push-t-gen"),
+        pytest.param(["analytic", "table1", "--push-interval", "1"],
+                     "does not read --push-interval", id="table1-push-interval"),
+        pytest.param(["im", "solicit", "--mode", "naive", "--p", "7", "--seed", "1"],
+                     "does not read --p", id="im-naive-p"),
     ],
-    ids=["lkh-one-device", "lkh-device-out-of-range", "im-one-device", "im-arity-1",
-         "sweep-not-seeds", "sweep-empty", "sweep-repeated", "ubusy-zero-interval",
-         "ubusy-nan-interval", "table1-nan-cost", "bandwidth-nan-interval", "im-no-devices", "wire-file-missing", "wire-file-directory",
-         "scenario-config-directory", "scan-config-directory", "provision-negative-count",
-         "provision-count-0-bad-pool-max", "scenario-config-not-utf8", "ubusy-t-gen",
-         "ubusy-t-ann", "ubusy-push-t-req", "bandwidth-announcement-size", "bandwidth-push-t-gen",
-         "table1-push-interval", "im-naive-p", "scenario-countless-burst"],
 )
 def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # relative paths name nothing, and nothing is written to the repo

@@ -84,9 +84,11 @@ def test_ignores_foreign_and_malformed_frames(record):
 def test_attestation_pristine_then_tampered(record):
     dev = make_device(record)
     dev.boot(0.0)
-    assert dev.attest_now(10.0) == wire.ATT_SUCCESS
+    dev.on_timer(TimerKind.ATTEST, 10.0)
+    assert dev.att_result == wire.ATT_SUCCESS
     dev.memory_image[7] ^= 0xFF
-    assert dev.attest_now(20.0) == wire.ATT_FAIL
+    dev.on_timer(TimerKind.ATTEST, 20.0)
+    assert dev.att_result == wire.ATT_FAIL
     assert dev.last_att_time == 20.0
 
 
@@ -372,9 +374,33 @@ def test_announcement_defers_pending_pool(record, pump_factory):
     dev.on_timer(TimerKind.ANNOUNCE, 1.1)  # announcement busy until 1.333
     assert dev.in_gen
     dev.on_timer(TimerKind.GEN_DEADLINE, 2.0)  # pool deadline during busy
-    assert dev.pending_gen
+    assert dev.gen_deadline == 2.0
     actions = dev.on_timer(TimerKind.GEN_COMPLETE, 2.1)
     assert dev.in_gen  # response generation chained right after
     complete = dev.on_timer(TimerKind.GEN_COMPLETE, 2.333)
     payloads = [a.payload for a in complete if isinstance(a, Transmit)]
     assert payloads and wire.decode(payloads[0]).count == 2
+
+
+def test_deadline_at_end_of_announcement_window_fires_on_its_own_tick(record, pump_factory):
+    """A deadline equal to the end of an announcement window is served by
+    its own tick, after `GEN_COMPLETE`: a request landing between the two
+    (as a zero-latency delivery can) still joins the response."""
+    policy = BlendPolicy(switch_threshold=1, window=1.0, push_period=1.0, announce_interval=0.5)
+    dev = make_device(record, mode=Mode.BLEND, blend=policy, t_res=0.25)
+    pump = pump_factory(dev)
+    rng = Random(3)
+    pump.frame(request(rng), at=0.25)  # deadline at 1.25
+    pump.frame(request(rng), at=0.5)  # push: announcement windows 0.5-0.75 and 1.0-1.25
+    pump.run_until(1.2)
+    pump.step_timer()  # GEN_COMPLETE at 1.25 precedes GEN_DEADLINE at 1.25
+    assert (pump.now, dev.gen_deadline, dev.in_gen) == (1.25, 1.25, False)
+    pump.frame(request(rng), at=1.25)
+    pump.run_until(3.0)
+    sent = [(t, type(m).__name__, getattr(m, "count", 0), retransmit)
+            for (t, _, retransmit), m in zip(pump.transmissions, decode_responses(pump))]
+    assert sent == [
+        (0.75, "AnnouncementMsg", 0, False),
+        (1.25, "AnnouncementMsg", 0, False),
+        (1.5, "ResponseMsg", 3, True),
+    ]

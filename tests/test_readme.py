@@ -1,11 +1,16 @@
-"""README drift guard: its CLI examples parse, and its Layout table names every module in short rows."""
+"""README drift guard: its CLI examples parse, its Layout table names every module in short rows,
+and every code name it gives resolves."""
 
+import importlib
+import inspect
 import re
 import shlex
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
+import pulldisc
 from pulldisc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +59,31 @@ def test_layout_rows_stay_short():
     rows = [line.split("|")[1:3] for line in _section("Layout").splitlines() if line.startswith("|")]
     long = {module.strip(): len(concern.split()) for module, concern in rows if len(concern.split()) > 40}
     assert not long, long
+
+
+def _lookup(obj, attr: str):
+    """`obj.attr`, or the field for a dataclass field only instances carry;
+    KeyError if neither exists."""
+    return getattr(obj, attr) if hasattr(obj, attr) else getattr(obj, "__dataclass_fields__", {})[attr]
+
+
+def test_dotted_names_resolve():
+    # A name headed by a pulldisc module or class must name real code; any
+    # other head is a config key (`blend.announce_interval`) or a file name.
+    modules = {p.stem: importlib.import_module(f"pulldisc.{p.stem}")
+               for p in (ROOT / "src" / "pulldisc").glob("*.py") if p.stem != "__init__"}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__ == module.__name__}
+    heads = {"pulldisc": pulldisc, **modules, **classes}
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README))
+    checked, missing = 0, []
+    for name in sorted(names):
+        head, *path = name.split(".")
+        if head not in heads or re.search(r"\.(py|json|csv|md)$", name):
+            continue
+        checked += 1
+        try:
+            reduce(_lookup, path, heads[head])
+        except KeyError:
+            missing.append(name)
+    assert checked and not missing, missing

@@ -8,7 +8,7 @@ from pulldisc import crypto, registration
 
 
 def test_provision_resolve_verify_roundtrip(mfr, record, store):
-    manifest_bytes, signature = registration.resolve_manifest(store, record.url)
+    manifest_bytes, signature = store.get(record.url)
     manifest = registration.verify_manifest(manifest_bytes, signature, [mfr.public_key])
     assert manifest.device_public_key == record.keypair.public_key
     assert manifest.device_type == "camera"
@@ -37,8 +37,7 @@ def test_pool_max_cap(mfr, descriptor, store, rng):
 
 
 def test_resolve_unknown_token(store):
-    with pytest.raises(registration.ManifestNotFound):
-        registration.resolve_manifest(store, b"nosuchtoken000")
+    assert store.get(b"nosuchtoken000") is None
 
 
 def test_store_refuses_overwrite(store):
@@ -48,7 +47,7 @@ def test_store_refuses_overwrite(store):
 
 
 def test_tampered_manifest_fails_downstream(mfr, record, store):
-    manifest_bytes, signature = registration.resolve_manifest(store, record.url)
+    manifest_bytes, signature = store.get(record.url)
     tampered = bytearray(manifest_bytes)
     tampered[len(tampered) // 2] ^= 0x01
     with pytest.raises(registration.ManifestVerificationError):
@@ -57,7 +56,7 @@ def test_tampered_manifest_fails_downstream(mfr, record, store):
 
 def test_wrong_mfr_key_rejected(record, store, rng):
     other_mfr = crypto.generate_keypair(rng)
-    manifest_bytes, signature = registration.resolve_manifest(store, record.url)
+    manifest_bytes, signature = store.get(record.url)
     with pytest.raises(registration.ManifestVerificationError):
         registration.verify_manifest(manifest_bytes, signature, [other_mfr.public_key])
 
@@ -123,7 +122,7 @@ def test_device_cert_not_signed_by_the_manufacturer_rejected(
 
 
 def test_canonical_form_is_byte_stable(mfr, record, store):
-    manifest_bytes, _ = registration.resolve_manifest(store, record.url)
+    manifest_bytes, _ = store.get(record.url)
     manifest = registration.Manifest.from_canonical(manifest_bytes)
     assert manifest.to_canonical() == manifest_bytes
 
@@ -167,7 +166,7 @@ def test_one_manufacturer_certificate_signed_once(descriptor, store, rng, monkey
     manifests = []
     for _ in range(2):
         record = registration.provision_db_device(mfr, descriptor, store=store, rng=rng)
-        manifest_bytes, signature = registration.resolve_manifest(store, record.url)
+        manifest_bytes, signature = store.get(record.url)
         manifests.append(registration.verify_manifest(manifest_bytes, signature, [mfr.public_key]))
     first, second = (m.mfr_certificate for m in manifests)
     assert first.to_fields() == second.to_fields()

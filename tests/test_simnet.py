@@ -331,7 +331,7 @@ def test_agent_receives_and_dedups():
     built, report = scenario.run_scenario(_hotel_config())
     node = built.agent_nodes[0]
     assert len(node.reports) == 6  # 6 rounds; retransmitted copies are not reported again
-    assert len(node.deduped_reports()) == 6
+    assert len(agent.dedup(node.reports)) == 6
     assert node.discards == {}
     assert len(node.latencies) == 6  # one per report, not per copy
     assert all(lat >= 1.0 for lat in node.latencies)  # response delay floor
@@ -379,7 +379,7 @@ def test_receive_state_stays_bounded_over_an_hour():
     world.schedule_action(0.0, sample)
     world.run_until(3600.0)
     sent = sum(node.counters.tx_frames for node in built.agent_nodes)
-    reports = sum(len(node.deduped_reports()) for node in built.agent_nodes)
+    reports = sum(len(agent.dedup(node.reports)) for node in built.agent_nodes)
     assert sent > 150 and reports > 150
     assert peaks["pending"] <= 4
     for node in built.agent_nodes:  # manifest verdicts are the agent's only store
@@ -705,10 +705,11 @@ def test_inventory_per_node_record_is_the_roles_own_counters():
     for node in nodes:
         assert metrics.per_node[node.name] is node.device.counters
         assert node.device.counters.responses == 2  # tallied by the device
+        assert node.device.counters.attestations == 2  # one per answered request
         # and by the simulator: two requests and the other three devices' two responses each
         assert node.device.counters.rx_frames == 8 and node.device.counters.tx_frames == 2
         assert node.device.counters.busy_seconds == pytest.approx(2 * node.t_res)
-    assert owner.counters.requests == 2
+    assert owner.counters.signatures == 2  # one per signed request
     assert owner.counters.receipts == len(owner_node.receipts) == 8
 
 
