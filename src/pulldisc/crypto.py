@@ -13,7 +13,7 @@ import hmac as _hmac
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -164,6 +164,40 @@ def aead_open_first(
         except InvalidTag:
             continue
     return None
+
+
+def aead_sweep(
+    keys: Iterable[bytes], items: Sequence[tuple[bytes, bytes, bytes]]
+) -> list[int | None]:
+    """For each (iv, sealed, associated data) item, the position of the
+    first of `keys` that opens it, or None if none does.
+
+    One trial-decryption loop for many payloads: one `AESGCM` per key,
+    tried on every item still unopened and dropped before the next key's.
+    Each item costs the decrypts `aead_open_first` would make for it; the
+    key setups are shared, and the sweep stops once every item is open.
+    A single item takes `aead_open_first`'s leaner loop.
+    """
+    if len(items) == 1:
+        hit = aead_open_first(keys, *items[0])
+        return [None if hit is None else hit[0]]
+    found: list[int | None] = [None] * len(items)
+    pending = [(i, iv, sealed, ad or None) for i, (iv, sealed, ad) in enumerate(items)]
+    for position, key in enumerate(keys):
+        if not pending:
+            break
+        decrypt = AESGCM(key).decrypt
+        opened = False
+        for i, iv, sealed, ad in pending:
+            try:
+                decrypt(iv, sealed, ad)
+            except InvalidTag:
+                continue
+            found[i] = position
+            opened = True
+        if opened:
+            pending = [entry for entry in pending if found[entry[0]] is None]
+    return found
 
 
 def prf_eval(key: bytes, data: bytes) -> bytes:

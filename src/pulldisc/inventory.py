@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from pathlib import Path
 from random import Random
 from typing import Sequence
 
@@ -147,6 +146,13 @@ class Owner:
         self._scan_order = array("I")
         self._scan_keys: list[bytes] = []
         self._responders: set[int] = set()  # indices with a receipt since the last request
+        # Payload -> copies queued to this owner and not yet landed. The
+        # simulator keeps it: `World.broadcast` adds each queued copy and
+        # `OwnerNode` removes it as it lands, before `receive`.
+        self.upcoming: dict[bytes, int] = {}
+        # Payload -> scan position of its first opening key, or None, for
+        # payloads swept in this scan order and still in flight.
+        self._verdicts: dict[bytes, int | None] = {}
         self._image: tuple[bytes | None, bytes] = (None, b"")  # the last image enrolled, hashed
 
     # -- enrollment ---------------------------------------------------------
@@ -195,25 +201,9 @@ class Owner:
         self.device_ids.append(device_id)
         self.key_table[device_id] = key
 
-    # -- key table persistence: flat (id, key) records, enrollment order --
-
-    def save_key_table(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            for device_id in self.device_ids:
-                fh.write(device_id)
-                fh.write(self.key_table[device_id])
-
-    def load_key_table(self, path: str | Path) -> None:
-        if self.key_table:
-            raise ValueError("key table already populated")
-        record_len = DEVICE_ID_LEN + crypto.SYMMETRIC_KEY_LEN
-        data = Path(path).read_bytes()
-        if len(data) % record_len != 0:
-            raise ValueError(f"key table file is not a multiple of {record_len} bytes")
-        records = [data[off : off + record_len] for off in range(0, len(data), record_len)]
-        _check_unique([record[:DEVICE_ID_LEN] for record in records])
-        for record in records:
-            self._remember(record[:DEVICE_ID_LEN], record[DEVICE_ID_LEN:])
+    # The reference path, for tests only: each naive scan covers only the
+    # payload being received, and every copy received is scanned.
+    _scan_alone = False
 
     # -- solicitation -------------------------------------------------------
 
@@ -235,10 +225,15 @@ class Owner:
         self._scan_keys += (
             key for i, key in enumerate(self.key_table.values()) if i not in responders
         )
+        self._verdicts.clear()
         return request.encode()
 
     def receive(self, payload: bytes) -> ImReceipt | ImDiscard:
         result = self._receive(payload)
+        if self._verdicts:  # a verdict goes when no copy of its payload is left in flight
+            payload = bytes(payload)
+            if payload not in self.upcoming:
+                self._verdicts.pop(payload, None)
         if isinstance(result, ImDiscard):
             self.counters.rejects[result.value] = self.counters.rejects.get(result.value, 0) + 1
         else:
@@ -256,23 +251,11 @@ class Owner:
             return ImDiscard.REPLAY
 
         ad = _associated_data(message.lkh_header)
-        trials = prf_evals = 0
-        plaintext = None
-        if self.tree is not None:
-            # Fast path: walk the tree under the outstanding nonce. A stale
-            # response carries header fields over an older nonce, so the
-            # walk lands on the wrong leaf (or a padding one); any miss falls
-            # through to the exhaustive scan so replays are still told apart
-            # from junk.
-            try:
-                index, prf_evals = keytree.retrieve_lkh(
-                    self.tree, message.lkh_header, self.outstanding_nonce
-                )
-                plaintext = self._open(index, message, ad)
-            except (keytree.RetrievalError, IndexError, crypto.AeadAuthenticationError):
-                pass
-
-        if plaintext is None:
+        walked = self._walk(message, ad)
+        if walked is not None:
+            index, prf_evals, plaintext = walked
+            trials = 0
+        else:
             # One scan in this request's order, last round's responders
             # first. The order can change the verdict only for a payload
             # that opens under two enrolled keys, and sealing one takes an
@@ -280,15 +263,11 @@ class Owner:
             # tree walk above already returns its leaf without trying lower
             # indices. `trials` stays the cost of the paper's
             # enrollment-order scan, not the host's.
-            self._extend_scan_order()
-            try:
-                position, _ = keytree.retrieve_naive(
-                    self._scan_keys, message.iv, message.sealed, ad
-                )
-            except keytree.RetrievalError:
+            position = self._scan(bytes(payload), message, ad)
+            if position is None:
                 return ImDiscard.FORGED_OR_FOREIGN
             index = self._scan_order[position]
-            trials = index + 1
+            trials, prf_evals = index + 1, 0
             # The scan returns only the position, so open the winner once more.
             plaintext = self._open(index, message, ad)
 
@@ -306,14 +285,77 @@ class Owner:
             prf_evals=prf_evals,
         )
 
+    def _walk(self, message: wire.ImResponseMsg, ad: bytes) -> tuple[int, int, bytes] | None:
+        """(index, PRF evaluations, plaintext) when the tree walk under the
+        outstanding nonce opens `message`, else None.
+
+        A stale response carries header fields over an older nonce, so the
+        walk lands on the wrong leaf (or a padding one); a miss falls
+        through to the exhaustive scan so replays are still told apart
+        from junk."""
+        if self.tree is None:
+            return None
+        try:
+            index, prf_evals = keytree.retrieve_lkh(
+                self.tree, message.lkh_header, self.outstanding_nonce
+            )
+            return index, prf_evals, self._open(index, message, ad)
+        except (keytree.RetrievalError, IndexError, crypto.AeadAuthenticationError):
+            return None
+
+    def _scan(self, payload: bytes, message: wire.ImResponseMsg, ad: bytes) -> int | None:
+        """Scan position of the first key that opens `message`, or None.
+
+        A payload swept earlier in this scan order has its verdict in the
+        table. Otherwise one sweep tries the keys in scan order on it and
+        on every payload still queued to this owner that has no verdict
+        and that the tree walk does not open. AES-GCM is deterministic, so
+        sharing a sweep cannot change a payload's first opening key."""
+        self._extend_scan_order()
+        if payload in self._verdicts:
+            return self._verdicts[payload]
+        others = {}
+        for queued in () if self._scan_alone else self.upcoming:
+            if queued != payload and queued not in self._verdicts:
+                item = self._sweep_item(queued)
+                if item is not None:
+                    others[queued] = item
+        found: dict[bytes, int | None] = {}
+        try:
+            position, _ = keytree.retrieve_naive(
+                self._scan_keys, message.iv, message.sealed, ad, others=others, found=found
+            )
+        except keytree.RetrievalError:
+            position = None
+        self._verdicts.update(found)
+        if not self._scan_alone:
+            self._verdicts[payload] = position
+        return position
+
+    def _sweep_item(self, payload: bytes) -> tuple[bytes, bytes, bytes] | None:
+        """(iv, sealed, associated data) of a queued payload its receipt
+        will scan for, else None."""
+        try:
+            message = wire.decode(payload)
+        except wire.WireError:
+            return None
+        if not isinstance(message, wire.ImResponseMsg):
+            return None
+        ad = _associated_data(message.lkh_header)
+        if self._walk(message, ad) is not None:
+            return None
+        return message.iv, message.sealed, ad
+
     def _extend_scan_order(self) -> None:
         """Append the keys enrolled since the order was built, so a device
         enrolled mid-round is found too; `key_table` is in enrollment order
-        (`_remember` is its one writer)."""
+        (`_remember` is its one writer). New keys may open a payload swept
+        without them, so the verdicts go."""
         built = len(self._scan_order)
         if built < len(self.device_ids):
             self._scan_order.extend(range(built, len(self.device_ids)))
             self._scan_keys.extend(islice(self.key_table.values(), built, None))
+            self._verdicts.clear()
 
     def _open(self, index: int, message: wire.ImResponseMsg, ad: bytes) -> bytes:
         """Plaintext of `message` under the key enrolled at `index`."""

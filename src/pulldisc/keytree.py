@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import crypto
 
@@ -140,13 +140,27 @@ def retrieve_lkh(
 
 
 def retrieve_naive(
-    keys: Iterable[bytes], iv: bytes, sealed: bytes, associated_data: bytes = b""
+    keys: Iterable[bytes],
+    iv: bytes,
+    sealed: bytes,
+    associated_data: bytes = b"",
+    *,
+    others: Mapping[Hashable, tuple[bytes, bytes, bytes]] | None = None,
+    found: dict[Hashable, int | None] | None = None,
 ) -> tuple[int, int]:
-    """Exhaustive trial decryption; returns (key index, trials used)."""
-    hit = crypto.aead_open_first(keys, iv, sealed, associated_data)
-    if hit is None:
+    """Exhaustive trial decryption; returns (key index, trials used).
+
+    `others` maps more payloads to their (iv, sealed, associated data):
+    the same sweep of `keys` tries them too, and `found` gets the index of
+    each one's first opening key, or None, even when this payload opens
+    under no key."""
+    items = [(iv, sealed, associated_data), *(others.values() if others else ())]
+    index, *rest = crypto.aead_sweep(keys, items)
+    if others:
+        found.update(zip(others, rest))
+    if index is None:
         raise RetrievalError("no key verified the payload")
-    return hit[0], hit[0] + 1
+    return index, index + 1
 
 
 @dataclass(frozen=True)

@@ -116,14 +116,17 @@ class Metrics:
 class Node:
     """Base class: a named participant in one broadcast domain.
 
-    `hears`, `handled` and `counters` are fixed once the node joins a
-    world: `World.broadcast` caches them per domain and frame kind. The
-    `handled` dict may change in place, but is never replaced."""
+    `hears`, `handled`, `queued` and `counters` are fixed once the node
+    joins a world: `World.broadcast` caches them per domain and frame kind.
+    The dicts may change in place, but are never replaced."""
 
     # The frame kinds `handle_deliver` acts on; None hears every frame.
     hears: frozenset[bytes] | None = None
     # Payload -> latest arrival at which a copy changes only rx; None: no record.
     handled: dict | None = None
+    # Payload -> copies queued for delivery to this node, which removes each
+    # as it lands; None: no record.
+    queued: dict | None = None
 
     def __init__(self, name: str, domain: str = "default", component: object = None):
         # Broadcast compares domains for equality: a NaN one would match none.
@@ -153,7 +156,7 @@ class World:
         self.link = link or LinkConfig()
         self.rng = Random(f"link/{seed}")
         self.nodes: dict[str, Node] = {}
-        # (domain, frame kind) -> (node, hears the kind, handled, counters) per member.
+        # (domain, frame kind) -> (node, hears the kind, handled, queued, counters) per member.
         self._fanout: dict[tuple[str, bytes], list[tuple]] = {}
         self._queue: list = []
         self._seq = itertools.count()
@@ -211,6 +214,7 @@ class World:
         payload's kind, or has handled the payload by the copy's arrival,
         gets no delivery: the frame is counted in its rx now if it arrives
         within the running horizon, and otherwise by a queued `_count_rx`.
+        A delivery to a node that keeps `queued` is recorded there.
         The receivers of a domain and frame kind are listed once, at the
         first such frame after a node joins."""
         if len(payload) > wire.MAX_PAYLOAD:
@@ -234,11 +238,12 @@ class World:
         fanout = self._fanout.get(key)
         if fanout is None:
             fanout = self._fanout[key] = [
-                (node, node.hears is None or key[1] in node.hears, node.handled, node.counters)
+                (node, node.hears is None or key[1] in node.hears, node.handled, node.queued,
+                 node.counters)
                 for node in self.nodes.values() if node.domain == key[0]
             ]
         dropped = 0
-        for node, hears, handled, counters in fanout:
+        for node, hears, handled, queued, counters in fanout:
             if node is sender_node:
                 continue
             if p_loss > 0.0 and random() < p_loss:
@@ -248,6 +253,8 @@ class World:
             at = now + (lo + span * random())
             if hears and (handled is None or queue_unheard or handled.get(payload, -1.0) < at):
                 push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
+                if queued is not None:
+                    queued[payload] = queued.get(payload, 0) + 1
             elif at <= horizon and not queue_unheard:
                 counters.rx_bytes += size
                 counters.rx_frames += 1
@@ -495,7 +502,10 @@ class ImDeviceNode(Node):
 
 
 class OwnerNode(Node):
-    """Inventory owner issuing solicitation rounds on a fixed schedule."""
+    """Inventory owner issuing solicitation rounds on a fixed schedule.
+
+    The responses queued to it are the owner's `upcoming` record, so one
+    naive scan can cover every response already in flight."""
 
     def __init__(
         self,
@@ -506,6 +516,7 @@ class OwnerNode(Node):
     ):
         super().__init__(name, domain, owner)
         self.owner = owner
+        self.queued = owner.upcoming
         self.round_times = _times("round_times", round_times)
         self.receipts = []
         self.rejects = owner.counters.rejects
@@ -518,7 +529,11 @@ class OwnerNode(Node):
         self.world.broadcast(self.name, self.owner.make_request(), now)
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
-        result = self.owner.receive(frame.payload)
+        payload, queued = frame.payload, self.queued
+        copies = queued.pop(payload, 0)  # this copy has landed
+        if copies > 1:
+            queued[payload] = copies - 1
+        result = self.owner.receive(payload)
         if isinstance(result, ImReceipt):
             self.receipts.append((now, result))
 

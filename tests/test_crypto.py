@@ -232,19 +232,47 @@ def _first_by_aead_open(keys, iv, sealed, ad):
     return None
 
 
+def _sealed_item(rng, keys, where):
+    """(iv, sealed, associated data) opening first under the key at
+    `where` ("first", "middle" or "last"), or under none ("miss")."""
+    n = len(keys)
+    target = {"first": 0, "middle": n // 2, "last": n - 1}.get(where) if n else None
+    key = keys[target] if target is not None else rng.randbytes(16)
+    iv, plaintext, ad = rng.randbytes(12), rng.randbytes(rng.randrange(120)), rng.randbytes(4)
+    return (iv, crypto.aead_seal(key, iv, plaintext, ad), ad), target, plaintext
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last", "miss", "empty"])
 def test_aead_open_first_matches_a_loop_of_aead_open(where):
     rng = Random(f"open-first/{where}")
     for _ in range(20):
         n = 0 if where == "empty" else rng.randrange(1, 40)
         keys = [rng.randbytes(16) for _ in range(n)]
-        iv, plaintext, ad = rng.randbytes(12), rng.randbytes(rng.randrange(120)), rng.randbytes(4)
-        target = {"first": 0, "middle": n // 2, "last": n - 1}.get(where)
-        key = keys[target] if target is not None else rng.randbytes(16)
-        sealed = crypto.aead_seal(key, iv, plaintext, ad)
+        item, target, plaintext = _sealed_item(rng, keys, where)
         expected = None if target is None else (target, plaintext)
-        assert _first_by_aead_open(keys, iv, sealed, ad) == expected
-        assert crypto.aead_open_first(keys, iv, sealed, ad) == expected
+        assert _first_by_aead_open(keys, *item) == expected
+        assert crypto.aead_open_first(keys, *item) == expected
+
+        # The sweep, on this item alone and among hits at the first, middle
+        # and last key, misses and a repeated payload.
+        assert crypto.aead_sweep(keys, [item]) == [target]
+        items = [item, *(_sealed_item(rng, keys, rng.choice(["first", "middle", "last", "miss"]))[0]
+                         for _ in range(rng.randrange(1, 6)))]
+        items.append(rng.choice(items))
+        rng.shuffle(items)
+        by_open = [_first_by_aead_open(keys, *each) for each in items]
+        assert crypto.aead_sweep(keys, items) == [None if hit is None else hit[0] for hit in by_open]
+        assert crypto.aead_sweep(keys, []) == []
+
+
+def test_aead_sweep_finds_the_first_of_two_opening_keys():
+    rng = Random(14)
+    keys = [rng.randbytes(16) for _ in range(10)]
+    keys[7] = keys[3]
+    items = [_sealed_item(rng, keys, "middle")[0] for _ in range(2)]  # key 5
+    iv = rng.randbytes(12)
+    items.append((iv, crypto.aead_seal(keys[3], iv, b"twice"), b""))
+    assert crypto.aead_sweep(keys, items) == [5, 5, 3]
 
 
 @pytest.mark.parametrize(
@@ -259,8 +287,13 @@ def test_aead_open_first_refuses_bad_lengths_as_aead_open_does(key_len, iv_len):
         _first_by_aead_open(keys, iv, sealed, b"")
     with pytest.raises(ValueError) as by_first:
         crypto.aead_open_first(keys, iv, sealed)
-    assert type(by_first.value) is type(by_open.value) is ValueError
-    assert str(by_first.value) == str(by_open.value)
+    # The bad item shares the sweep with one that only the second key opens.
+    other_iv = rng.randbytes(12)
+    items = [(other_iv, crypto.aead_seal(good, other_iv, b"other"), b""), (iv, sealed, b"")]
+    with pytest.raises(ValueError) as by_sweep:
+        crypto.aead_sweep(keys, items)
+    assert type(by_first.value) is type(by_sweep.value) is type(by_open.value) is ValueError
+    assert str(by_first.value) == str(by_sweep.value) == str(by_open.value)
 
 
 def test_prf_eval():

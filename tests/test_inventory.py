@@ -5,12 +5,13 @@ import copy
 import hashlib
 from collections import Counter
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulldisc import crypto, inventory, keytree, wire
+from pulldisc import crypto, inventory, keytree, simnet, wire
 from pulldisc.inventory import (
     ImDiscard,
     ImReceipt,
@@ -320,27 +321,36 @@ def test_scan_order_never_changes_a_verdict(tree, n, rounds, hrng):
 
 @pytest.fixture
 def scan_cost(monkeypatch):
-    """Host-side cost of owner scans: `retrieve_naive` calls, the trials
-    they make, and the AES-GCM contexts built. Reset with `.clear()`."""
+    """Host-side cost of owner scans: `retrieve_naive` calls (sweeps), the
+    trials they make for the payload received, and the AES-GCM contexts
+    built and decrypts attempted. Reset with `.clear()`."""
     cost = Counter()
     retrieve, aesgcm = keytree.retrieve_naive, crypto.AESGCM
 
-    def counting_retrieve(keys, *args):
+    def counting_retrieve(keys, *args, **kwargs):
         cost["calls"] += 1
         try:
-            index, trials = retrieve(keys, *args)
+            index, trials = retrieve(keys, *args, **kwargs)
         except keytree.RetrievalError:
             cost["trials"] += len(keys)
             raise
         cost["trials"] += trials
         return index, trials
 
-    def counting_aesgcm(key):
-        cost["contexts"] += 1
-        return aesgcm(key)
+    class CountingAESGCM:
+        def __init__(self, key):
+            cost["contexts"] += 1
+            self.context = aesgcm(key)
+
+        def encrypt(self, *args):
+            return self.context.encrypt(*args)
+
+        def decrypt(self, *args):
+            cost["decrypts"] += 1
+            return self.context.decrypt(*args)
 
     monkeypatch.setattr(keytree, "retrieve_naive", counting_retrieve)
-    monkeypatch.setattr(crypto, "AESGCM", counting_aesgcm)
+    monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
     return cost
 
 
@@ -386,7 +396,7 @@ def test_a_payload_no_key_opens_costs_exactly_n_trials(fleet_of_64, scan_cost):
         for payload in (stranger.respond(request), wire.ID_IM_RESPONSE + bytes(124)):
             scan_cost.clear()
             assert owner.receive(payload) is ImDiscard.FORGED_OR_FOREIGN
-            assert scan_cost == {"calls": 1, "trials": 64, "contexts": 64}
+            assert scan_cost == {"calls": 1, "trials": 64, "contexts": 64, "decrypts": 64}
 
 
 @pytest.mark.parametrize("mode", ["naive", "lkh"])
@@ -409,6 +419,202 @@ def test_each_response_makes_one_scan_at_most(mode, scan_cost):
         stale = honest
 
 
+# -- one sweep for every response in flight to the owner ------------------------
+
+
+class _ResponseForger(simnet.Node):
+    """Broadcasts `count` junk inventory responses of `size` bytes at each
+    of `times`, every payload twice."""
+
+    hears = frozenset()
+
+    def __init__(self, name, times, count, size, seed):
+        super().__init__(name)
+        self.times, self.count, self.size, self.rng = times, count, size, Random(seed)
+
+    def start(self, now):
+        for t in self.times:
+            self.world.schedule_action(t, self._burst)
+
+    def _burst(self, now):
+        for _ in range(self.count):
+            payload = wire.ID_IM_RESPONSE + self.rng.randbytes(self.size - 6)
+            self.world.broadcast(self.name, payload, now)
+            self.world.broadcast(self.name, payload, now)
+
+
+def _queued_to(world, node):
+    """The payloads of the deliveries queued to `node`, with their copies."""
+    return Counter(frame.payload for _, _, _, to, frame in world._queue if to is node)
+
+
+def _watch_in_flight_records(owner, world, node):
+    """Check after every receipt that the owner's in-flight record is the
+    queue's and that it keeps verdicts only for payloads still queued."""
+    receive = owner.receive
+
+    def checked_receive(payload):
+        result = receive(payload)
+        assert owner.upcoming == _queued_to(world, node)
+        assert owner._verdicts.keys() <= owner.upcoming.keys()
+        return result
+
+    owner.receive = checked_receive
+
+
+def _answering_12_of_64():
+    """A 64-key naive owner soliciting at 1 s and 2 s, and the 12 devices
+    in range. Every frame takes 50 ms, so all responses to a round are
+    queued to the owner before the first lands."""
+    rng = Random(86)
+    owner = Owner(crypto.generate_keypair(rng), Random(87))
+    devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(64)]
+    answering = sorted(Random(88).sample(range(64), 12))
+    world = simnet.World(seed=89, link=simnet.LinkConfig(latency_min=0.05, latency_max=0.05))
+    node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 2.0]))
+    for i in answering:
+        world.add_node(simnet.ImDeviceNode(f"d{i}", devices[i]))
+    return world, node, answering
+
+
+def test_responses_in_flight_together_share_one_sweep(scan_cost):
+    world, node, answering = _answering_12_of_64()
+    owner, k = node.owner, len(answering)
+    for round_end, positions in ((1.5, answering), (2.5, range(k))):  # responders first
+        scan_cost.clear()
+        world.run_until(round_end)
+        assert [r.trials for _, r in node.receipts[-k:]] == [i + 1 for i in answering]
+        # One sweep to the highest opening position; each device seals once
+        # and the owner opens each winner once more.
+        assert scan_cost["calls"] == 1
+        assert scan_cost["contexts"] == max(positions) + 1 + 2 * k
+        assert scan_cost["decrypts"] == sum(p + 1 for p in positions) + k
+    assert owner.upcoming == {} and owner._verdicts == {}
+
+
+def test_a_second_copy_reads_its_verdict_instead_of_scanning(scan_cost):
+    def run(alone):
+        world, node, _ = _answering_12_of_64()
+        world.add_node(_ResponseForger("forger", [1.5], 5, 130, 90))
+        scan_cost.clear()
+        with mock.patch.object(Owner, "_scan_alone", alone):
+            world.run_until(3.0)
+        return node.receipts, dict(node.rejects), Counter(scan_cost)
+
+    swept, alone = run(False), run(True)
+    assert swept[:2] == alone[:2]
+    assert swept[1] == {"forged-or-foreign": 10}
+    # Each copy of a junk payload costs every key alone; swept, only its first.
+    assert alone[2]["decrypts"] - swept[2]["decrypts"] == 5 * 64
+    assert swept[2]["contexts"] < alone[2]["contexts"] - 5 * 64
+
+
+def test_in_flight_records_hold_only_payloads_still_queued(scan_cost):
+    rng = Random(91)
+    owner = Owner(crypto.generate_keypair(rng), Random(92))
+    devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(64)]
+    world = simnet.World(seed=93)
+    node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 3.0]))
+    for i in range(0, 64, 8):
+        world.add_node(simnet.ImDeviceNode(f"d{i}", devices[i]))
+    world.add_node(_ResponseForger("forger", [2.0], 30, 130, 94))
+    _watch_in_flight_records(owner, world, node)
+    world.run_until(1.9)
+    scan_cost.clear()
+    world.run_until(2.005)  # within the burst: some copies have landed, not all
+    assert 0 < sum(owner.upcoming.values()) < 60
+    assert owner.upcoming == _queued_to(world, node)
+    assert owner._verdicts.keys() <= owner.upcoming.keys()
+    world.run_until(2.5)
+    # The whole burst was swept once: every key built once, tried on each payload.
+    assert scan_cost == {"calls": 1, "trials": 64, "contexts": 64, "decrypts": 64 * 30}
+    world.run_until(5.0)
+    assert owner.upcoming == {} and owner._verdicts == {}
+    assert node.rejects == {"forged-or-foreign": 60}
+    assert len(node.receipts) == 16
+
+
+def test_a_key_enrolled_while_its_response_is_in_flight_opens_it(scan_cost):
+    def run(alone):
+        rng = Random(62)
+        owner = Owner(crypto.generate_keypair(rng), Random(63))
+        devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(32)]
+        late = Owner(owner.keypair, Random(64)).enroll_naive(info(32), b"img", rng)
+        # Every frame takes 50 ms: the six enrolled devices' answers land
+        # from 1.333 s to 1.338 s, and the unknown device's at 1.340 s.
+        world = simnet.World(seed=65, link=simnet.LinkConfig(latency_min=0.05, latency_max=0.05))
+        node = world.add_node(simnet.OwnerNode("owner", owner, [1.0]))
+        for i, device in enumerate(devices[:6]):
+            world.add_node(simnet.ImDeviceNode(f"d{i}", device, t_res=0.233 + 0.001 * i))
+        world.add_node(simnet.ImDeviceNode("late", late, t_res=0.24))
+        with mock.patch.object(Owner, "_scan_alone", alone):
+            world.run_until(1.3385)
+            (late_payload,) = _queued_to(world, node)
+            assert alone or owner._verdicts == {late_payload: None}  # swept with no key for it
+            owner._remember(info(32)[:12], late.record.shared_key)  # enrolled: now it opens
+            world.run_until(2.0)
+        return node.receipts, dict(node.rejects)
+
+    swept, alone = run(False), run(True)
+    assert swept == alone and not swept[1]
+    assert [r.trials for _, r in swept[0]] == [1, 2, 3, 4, 5, 6, 33]
+
+
+def _naive_world():
+    rng = Random(51)
+    owner = Owner(crypto.generate_keypair(rng), Random(52))
+    devices = [owner.enroll_naive(info(i), b"inventory image", rng) for i in range(512)]
+    world = simnet.World(seed=53, link=simnet.LinkConfig(p_loss=0.05))
+    # The second request goes out while answers to the first are in flight.
+    node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 1.243, 2.5, 4.0]))
+    for i in sorted(Random(54).sample(range(512), 20)):
+        world.add_node(simnet.ImDeviceNode(f"d{i}", devices[i]))
+    world.add_node(_ResponseForger("forger", [1.238, 3.0], 6, 130, 55))
+    return world, node
+
+
+def _lkh_world():
+    rng = Random(56)
+    owner = Owner(crypto.generate_keypair(rng), Random(57))
+    fleet = owner.enroll_lkh_fleet([info(i) for i in range(16)], b"inventory image", 2, rng)
+    world = simnet.World(seed=58, link=simnet.LinkConfig(p_loss=0.05))
+    node = world.add_node(simnet.OwnerNode("owner", owner, [1.0, 2.5, 4.0]))
+    for i, device in enumerate(fleet):
+        world.add_node(simnet.ImDeviceNode(f"d{i}", device))
+    world.add_node(simnet.AdversaryNode(
+        "replayer", "replay", Random(59), record_until=1.6, replay_at=[3.3]))
+    world.add_node(simnet.AdversaryNode("forger", "forge_request", Random(60), rate=2.0))
+    world.add_node(_ResponseForger("junk", [1.238, 3.3], 6, 130 + 4 * 16, 61))
+    return world, node
+
+
+@pytest.mark.parametrize(
+    "build, splits",
+    [(_naive_world, ()), (_lkh_world, ()), (_naive_world, (1.24, 3.0004))],
+    ids=["naive", "lkh-replay-forge", "naive-split-in-flight"],
+)
+def test_shared_sweeps_match_scanning_each_payload_alone(build, splits, scan_cost):
+    def run(alone):
+        world, node = build()
+        _watch_in_flight_records(node.owner, world, node)
+        scan_cost.clear()
+        with mock.patch.object(Owner, "_scan_alone", alone):
+            for split in splits:
+                world.run_until(split)
+                assert node.owner.upcoming  # responses in flight across the split
+            metrics = world.run_until(6.0)
+        assert node.owner.upcoming == {} and node.owner._verdicts == {}
+        return (node.receipts, dict(node.rejects), metrics.to_json()), scan_cost["calls"]
+
+    (swept, sweeps), (alone, scans) = run(False), run(True)
+    assert swept == alone
+    assert sweeps < scans / 2  # the runs did share sweeps
+    receipts, rejects, _ = swept
+    assert len(receipts) > 40 and rejects.get("forged-or-foreign")
+    if build is _lkh_world:
+        assert rejects.get("replay")
+
+
 def test_receipt_counters(naive_fleet):
     owner, devices = naive_fleet
     owner.receive(devices[0].respond(owner.make_request()))
@@ -416,29 +622,6 @@ def test_receipt_counters(naive_fleet):
     owner.receive(b"IM-RES" + bytes(124))
     assert owner.counters.receipts == 1
     assert owner.counters.rejects.get("forged-or-foreign") == 1
-
-
-def test_key_table_binary_persistence(tmp_path, naive_fleet):
-    owner, devices = naive_fleet
-    path = tmp_path / "keys.bin"
-    owner.save_key_table(path)
-    assert path.stat().st_size == 12 * (12 + 16)  # one flat record per device
-
-    restored = Owner(owner.keypair, Random(50))
-    restored.load_key_table(path)
-    assert restored.device_ids == owner.device_ids
-    assert restored.key_table == owner.key_table
-    # the restored table opens live traffic
-    request = restored.make_request()
-    result = restored.receive(devices[3].respond(request))
-    assert isinstance(result, ImReceipt) and result.device_id == b"unit-0000003"
-
-    with pytest.raises(ValueError):
-        restored.load_key_table(path)  # already populated
-    path.write_bytes(b"\x00" * 13)
-    broken = Owner(owner.keypair, Random(51))
-    with pytest.raises(ValueError):
-        broken.load_key_table(path)
 
 
 @pytest.mark.parametrize(
@@ -480,24 +663,6 @@ def test_fleet_enrollment_after_naive_enrollment_is_refused(naive_fleet):
     assert owner.tree is None and owner.device_ids == ids and owner.key_table == table
     result = owner.receive(devices[5].respond(owner.make_request()))
     assert isinstance(result, ImReceipt) and result.trials == 6
-
-
-def test_failed_key_table_load_changes_nothing(tmp_path, naive_fleet):
-    owner, devices = naive_fleet
-    path = tmp_path / "keys.bin"
-    owner.save_key_table(path)
-    record = 12 + 16
-    good = path.read_bytes()[: 3 * record]
-    path.write_bytes(good[: 2 * record] + good[:record])  # the first id again
-    restored = Owner(owner.keypair, Random(52))
-    with pytest.raises(ValueError, match="duplicate device id"):
-        restored.load_key_table(path)
-    assert restored.device_ids == [] and restored.key_table == {}
-    path.write_bytes(good)
-    restored.load_key_table(path)
-    assert restored.device_ids == owner.device_ids[:3]
-    result = restored.receive(devices[2].respond(restored.make_request()))
-    assert isinstance(result, ImReceipt) and result.trials == 3
 
 
 def test_respond_decodes_only_im_requests(naive_fleet, monkeypatch):

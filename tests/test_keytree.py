@@ -135,6 +135,24 @@ def test_naive_positions(rng):
         keytree.retrieve_naive(keys, iv, crypto.aead_seal(rng.randbytes(16), iv, b"x"))
 
 
+def test_naive_sweep_reports_every_other_payload(rng):
+    keys = [rng.randbytes(16) for _ in range(50)]
+    iv = rng.randbytes(12)
+    others = {
+        "hit": (iv, crypto.aead_seal(keys[12], iv, b"x", b"ad"), b"ad"),
+        "miss": (iv, crypto.aead_seal(rng.randbytes(16), iv, b"x"), b""),
+        "last": (iv, crypto.aead_seal(keys[49], iv, b"x"), b""),
+    }
+    found = {}
+    sealed = crypto.aead_seal(keys[37], iv, b"x")
+    assert keytree.retrieve_naive(keys, iv, sealed, others=others, found=found) == (37, 38)
+    assert found == {"hit": 12, "miss": None, "last": 49}
+    found = {}  # reported even when the payload received opens under no key
+    with pytest.raises(keytree.RetrievalError):
+        keytree.retrieve_naive(keys, iv, others["miss"][1], others=others, found=found)
+    assert found == {"hit": 12, "miss": None, "last": 49}
+
+
 def test_naive_expected_trials_monte_carlo(rng):
     """Uniform target position: expected trials (n + 1) / 2, within 5 %."""
     n = 100
