@@ -61,6 +61,11 @@ class ImReceipt:
     prf_evals: int  # tree PRF evaluations (0 in naive mode)
 
 
+# What the owner makes of one payload: a receipt and the enrollment index
+# of its device, or a reject reason and None.
+_Outcome = tuple[ImReceipt | ImDiscard, int | None]
+
+
 class ImDevice:
     """Inventory-mode device: verify, attest, seal, reply."""
 
@@ -150,9 +155,11 @@ class Owner:
         # simulator keeps it: `World.broadcast` adds each queued copy and
         # `OwnerNode` removes it as it lands, before `receive`.
         self.upcoming: dict[bytes, int] = {}
-        # Payload -> scan position of its first opening key, or None, for
-        # payloads swept in this scan order and still in flight.
-        self._verdicts: dict[bytes, int | None] = {}
+        # Payload -> outcome, for payloads with a copy still in flight. An
+        # outcome depends only on the payload, the outstanding nonce, the
+        # tree and the scan keys, so `make_request` and
+        # `_extend_scan_order` clear the table when those change.
+        self._verdicts: dict[bytes, _Outcome] = {}
         self._image: tuple[bytes | None, bytes] = (None, b"")  # the last image enrolled, hashed
 
     # -- enrollment ---------------------------------------------------------
@@ -201,8 +208,8 @@ class Owner:
         self.device_ids.append(device_id)
         self.key_table[device_id] = key
 
-    # The reference path, for tests only: each naive scan covers only the
-    # payload being received, and every copy received is scanned.
+    # The reference path, for tests only: each copy received is identified
+    # alone, and no verdict is kept.
     _scan_alone = False
 
     # -- solicitation -------------------------------------------------------
@@ -229,65 +236,78 @@ class Owner:
         return request.encode()
 
     def receive(self, payload: bytes) -> ImReceipt | ImDiscard:
-        result = self._receive(payload)
-        if self._verdicts:  # a verdict goes when no copy of its payload is left in flight
-            payload = bytes(payload)
-            if payload not in self.upcoming:
-                self._verdicts.pop(payload, None)
-        if isinstance(result, ImDiscard):
+        payload = bytes(payload)
+        self._extend_scan_order()
+        if payload not in self._verdicts:
+            # Every queued payload with no verdict is identified with it, so
+            # each is decoded, walked and swept once while a copy is in flight.
+            queued = () if self._scan_alone else self.upcoming
+            fresh = [p for p in dict.fromkeys([payload, *queued]) if p not in self._verdicts]
+            self._verdicts.update(self._identify(fresh))
+        result, index = self._verdicts[payload]
+        if self._scan_alone or payload not in self.upcoming:  # its last copy has landed
+            del self._verdicts[payload]
+        if index is None:
             self.counters.rejects[result.value] = self.counters.rejects.get(result.value, 0) + 1
         else:
+            self._responders.add(index)
             self.counters.receipts += 1
         return result
 
-    def _receive(self, payload: bytes) -> ImReceipt | ImDiscard:
+    def _identify(self, payloads: Sequence[bytes]) -> dict[bytes, _Outcome]:
+        """The outcome of each payload under the outstanding request.
+
+        A payload the tree walk opens is settled there; the rest share one
+        sweep of the scan order, last round's responders first (AES-GCM is
+        deterministic, so sharing cannot change a first opening key). The
+        order can change the verdict only for a payload that opens under
+        two enrolled keys, and sealing one takes an adversary who holds
+        both (AES-GCM is not key-committing); the tree walk already returns
+        its leaf without trying lower indices. `trials` stays the cost of
+        the paper's enrollment-order scan, not the host's."""
+        outcomes: dict[bytes, _Outcome] = {}
+        unwalked: dict[bytes, tuple[bytes, bytes, bytes]] = {}  # payload -> (iv, sealed, ad)
+        for payload in payloads:
+            try:
+                message = wire.decode(payload)
+            except wire.WireError:
+                message = None
+            if not isinstance(message, wire.ImResponseMsg):
+                outcomes[payload] = ImDiscard.MALFORMED, None
+            elif self.outstanding_nonce is None:
+                outcomes[payload] = ImDiscard.REPLAY, None
+            else:
+                item = message.iv, message.sealed, _associated_data(message.lkh_header)
+                walked = self._walk(message.lkh_header, item)
+                if walked is None:
+                    unwalked[payload] = item
+                else:
+                    index, prf_evals, plaintext = walked
+                    outcomes[payload] = self._outcome(index, plaintext, 0, prf_evals)
+        if not unwalked:
+            return outcomes
+        (first, item), *rest = unwalked.items()
+        found: dict[bytes, int | None] = {}
         try:
-            message = wire.decode(payload)
-        except wire.WireError:
-            return ImDiscard.MALFORMED
-        if not isinstance(message, wire.ImResponseMsg):
-            return ImDiscard.MALFORMED
-        if self.outstanding_nonce is None:
-            return ImDiscard.REPLAY
-
-        ad = _associated_data(message.lkh_header)
-        walked = self._walk(message, ad)
-        if walked is not None:
-            index, prf_evals, plaintext = walked
-            trials = 0
-        else:
-            # One scan in this request's order, last round's responders
-            # first. The order can change the verdict only for a payload
-            # that opens under two enrolled keys, and sealing one takes an
-            # adversary who holds both (AES-GCM is not key-committing); the
-            # tree walk above already returns its leaf without trying lower
-            # indices. `trials` stays the cost of the paper's
-            # enrollment-order scan, not the host's.
-            position = self._scan(bytes(payload), message, ad)
+            found[first], _ = keytree.retrieve_naive(
+                self._scan_keys, *item, others=dict(rest), found=found
+            )
+        except keytree.RetrievalError:
+            found[first] = None
+        for payload, position in found.items():
             if position is None:
-                return ImDiscard.FORGED_OR_FOREIGN
-            index = self._scan_order[position]
-            trials, prf_evals = index + 1, 0
-            # The scan returns only the position, so open the winner once more.
-            plaintext = self._open(index, message, ad)
+                outcomes[payload] = ImDiscard.FORGED_OR_FOREIGN, None
+            else:  # the sweep keeps only the position: open the winner once
+                plaintext = crypto.aead_open(self._scan_keys[position], *unwalked[payload])
+                index = self._scan_order[position]
+                outcomes[payload] = self._outcome(index, plaintext, index + 1, 0)
+        return outcomes
 
-        echoed = plaintext[: wire.NONCE_LEN]
-        if echoed != self.outstanding_nonce:
-            return ImDiscard.REPLAY
-        self._responders.add(index)
-        att_result = plaintext[wire.NONCE_LEN]
-        device_info = plaintext[wire.NONCE_LEN + 1 :]
-        return ImReceipt(
-            device_id=self.device_ids[index],
-            att_result=att_result,
-            device_info=device_info,
-            trials=trials,
-            prf_evals=prf_evals,
-        )
-
-    def _walk(self, message: wire.ImResponseMsg, ad: bytes) -> tuple[int, int, bytes] | None:
+    def _walk(
+        self, header: Sequence[bytes], item: tuple[bytes, bytes, bytes]
+    ) -> tuple[int, int, bytes] | None:
         """(index, PRF evaluations, plaintext) when the tree walk under the
-        outstanding nonce opens `message`, else None.
+        outstanding nonce opens the (iv, sealed, ad) `item`, else None.
 
         A stale response carries header fields over an older nonce, so the
         walk lands on the wrong leaf (or a padding one); a miss falls
@@ -296,55 +316,25 @@ class Owner:
         if self.tree is None:
             return None
         try:
-            index, prf_evals = keytree.retrieve_lkh(
-                self.tree, message.lkh_header, self.outstanding_nonce
-            )
-            return index, prf_evals, self._open(index, message, ad)
+            index, prf_evals = keytree.retrieve_lkh(self.tree, header, self.outstanding_nonce)
+            key = self.key_table[self.device_ids[index]]
+            return index, prf_evals, crypto.aead_open(key, *item)
         except (keytree.RetrievalError, IndexError, crypto.AeadAuthenticationError):
             return None
 
-    def _scan(self, payload: bytes, message: wire.ImResponseMsg, ad: bytes) -> int | None:
-        """Scan position of the first key that opens `message`, or None.
-
-        A payload swept earlier in this scan order has its verdict in the
-        table. Otherwise one sweep tries the keys in scan order on it and
-        on every payload still queued to this owner that has no verdict
-        and that the tree walk does not open. AES-GCM is deterministic, so
-        sharing a sweep cannot change a payload's first opening key."""
-        self._extend_scan_order()
-        if payload in self._verdicts:
-            return self._verdicts[payload]
-        others = {}
-        for queued in () if self._scan_alone else self.upcoming:
-            if queued != payload and queued not in self._verdicts:
-                item = self._sweep_item(queued)
-                if item is not None:
-                    others[queued] = item
-        found: dict[bytes, int | None] = {}
-        try:
-            position, _ = keytree.retrieve_naive(
-                self._scan_keys, message.iv, message.sealed, ad, others=others, found=found
-            )
-        except keytree.RetrievalError:
-            position = None
-        self._verdicts.update(found)
-        if not self._scan_alone:
-            self._verdicts[payload] = position
-        return position
-
-    def _sweep_item(self, payload: bytes) -> tuple[bytes, bytes, bytes] | None:
-        """(iv, sealed, associated data) of a queued payload its receipt
-        will scan for, else None."""
-        try:
-            message = wire.decode(payload)
-        except wire.WireError:
-            return None
-        if not isinstance(message, wire.ImResponseMsg):
-            return None
-        ad = _associated_data(message.lkh_header)
-        if self._walk(message, ad) is not None:
-            return None
-        return message.iv, message.sealed, ad
+    def _outcome(self, index: int, plaintext: bytes, trials: int, prf_evals: int) -> _Outcome:
+        """A receipt from the device enrolled at `index`, or REPLAY when
+        the plaintext echoes another nonce than the outstanding one."""
+        if plaintext[: wire.NONCE_LEN] != self.outstanding_nonce:
+            return ImDiscard.REPLAY, None
+        receipt = ImReceipt(
+            device_id=self.device_ids[index],
+            att_result=plaintext[wire.NONCE_LEN],
+            device_info=plaintext[wire.NONCE_LEN + 1 :],
+            trials=trials,
+            prf_evals=prf_evals,
+        )
+        return receipt, index
 
     def _extend_scan_order(self) -> None:
         """Append the keys enrolled since the order was built, so a device
@@ -356,11 +346,6 @@ class Owner:
             self._scan_order.extend(range(built, len(self.device_ids)))
             self._scan_keys.extend(islice(self.key_table.values(), built, None))
             self._verdicts.clear()
-
-    def _open(self, index: int, message: wire.ImResponseMsg, ad: bytes) -> bytes:
-        """Plaintext of `message` under the key enrolled at `index`."""
-        key = self.key_table[self.device_ids[index]]
-        return crypto.aead_open(key, message.iv, message.sealed, ad)
 
 
 def _check_unique(device_ids: Sequence[bytes]) -> None:

@@ -205,25 +205,10 @@ class ManifestStore:
             (directory / f"{stem}.manifest").write_bytes(manifest_bytes)
             (directory / f"{stem}.sig").write_bytes(signature)
 
-    @classmethod
-    def load_dir(cls, directory: str | Path) -> "ManifestStore":
-        store = cls()
-        directory = Path(directory)
-        for manifest_path in sorted(directory.glob("*.manifest")):
-            token = manifest_path.stem.encode("ascii")
-            signature = (directory / f"{manifest_path.stem}.sig").read_bytes()
-            store.put(token, manifest_path.read_bytes(), signature)
-        return store
-
 
 def write_trust_file(path: str | Path, mfr_keys: Iterable[bytes]) -> None:
     """Persist trusted manufacturer public keys, one hex key per line."""
     Path(path).write_text("".join(k.hex() + "\n" for k in mfr_keys), "ascii")
-
-
-def read_trust_file(path: str | Path) -> tuple[bytes, ...]:
-    lines = Path(path).read_text("ascii").split()
-    return tuple(bytes.fromhex(line) for line in lines)
 
 
 def fresh_url_token(rng: Random) -> bytes:

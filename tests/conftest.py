@@ -1,6 +1,10 @@
 """Shared fixtures: a provisioned device, its store/trust set, and a tiny
 action pump that drives a Device's timers outside the full simulator.
 
+Also reads back what `provision` writes (`ManifestStore.save_dir` and
+`registration.write_trust_file`): no command reads those files, so the
+readers live here, with the tests that check the on-disk format.
+
 Also hosts the acceptance-criterion summary: tests in test_acceptance.py
 record a line per criterion, printed at the end of the run whether or not
 output capture is on.
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,6 +38,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             write(f"  FAIL criterion {number:2d}: did not complete")
         else:
             write(f"  {line}")
+
+
+def load_manifest_dir(directory: str | Path) -> registration.ManifestStore:
+    """The store `ManifestStore.save_dir` wrote: one manifest and its
+    detached signature per token."""
+    store = registration.ManifestStore()
+    directory = Path(directory)
+    for manifest_path in sorted(directory.glob("*.manifest")):
+        signature = (directory / f"{manifest_path.stem}.sig").read_bytes()
+        store.put(manifest_path.stem.encode("ascii"), manifest_path.read_bytes(), signature)
+    return store
+
+
+def read_trust_file(path: str | Path) -> tuple[bytes, ...]:
+    """The keys `registration.write_trust_file` wrote, one hex key per line."""
+    return tuple(bytes.fromhex(line) for line in Path(path).read_text("ascii").split())
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import pulldisc
+from conftest import load_manifest_dir, read_trust_file
 from pulldisc import crypto, inventory, keytree, registration, scenario, simnet, wire
 from pulldisc.cli import main
 
@@ -34,9 +35,9 @@ SMALL_SCENARIO = {
 def test_provision_writes_store_and_trust(tmp_path, capsys):
     rc = main(["provision", "--out", str(tmp_path / "prov"), "--count", "3", "--seed", "9"])
     assert rc == 0
-    store = registration.ManifestStore.load_dir(tmp_path / "prov" / "manifests")
+    store = load_manifest_dir(tmp_path / "prov" / "manifests")
     assert len(store) == 3
-    keys = registration.read_trust_file(tmp_path / "prov" / "trust.keys")
+    keys = read_trust_file(tmp_path / "prov" / "trust.keys")
     records = json.loads((tmp_path / "prov" / "devices.json").read_text())
     assert len(records) == 3
     token = records[0]["url"].encode("ascii")
@@ -48,7 +49,7 @@ def test_provision_writes_store_and_trust(tmp_path, capsys):
 def _provisioned(tmp_path, *flags):
     out = tmp_path / "prov"
     assert main(["provision", "--out", str(out), "--seed", "9", *flags]) == 0
-    store = registration.ManifestStore.load_dir(out / "manifests")
+    store = load_manifest_dir(out / "manifests")
     records = json.loads((out / "devices.json").read_text())
     manifest_bytes, _ = store.get(records[0]["url"].encode("ascii"))
     return registration.Manifest.from_canonical(manifest_bytes), records[0]

@@ -550,7 +550,8 @@ def test_a_key_enrolled_while_its_response_is_in_flight_opens_it(scan_cost):
         with mock.patch.object(Owner, "_scan_alone", alone):
             world.run_until(1.3385)
             (late_payload,) = _queued_to(world, node)
-            assert alone or owner._verdicts == {late_payload: None}  # swept with no key for it
+            # Swept with no key for it: its outcome waits in the table.
+            assert alone or owner._verdicts == {late_payload: (ImDiscard.FORGED_OR_FOREIGN, None)}
             owner._remember(info(32)[:12], late.record.shared_key)  # enrolled: now it opens
             world.run_until(2.0)
         return node.receipts, dict(node.rejects)
@@ -613,6 +614,62 @@ def test_shared_sweeps_match_scanning_each_payload_alone(build, splits, scan_cos
     assert len(receipts) > 40 and rejects.get("forged-or-foreign")
     if build is _lkh_world:
         assert rejects.get("replay")
+
+
+def test_each_payload_is_decoded_and_walked_once_while_in_flight(monkeypatch):
+    """Within a round, the owner decodes and walks a payload at most once
+    while a copy of it is in flight; its other copies read the verdict."""
+    world, node = _lkh_world()
+    owner = node.owner
+    decode, retrieve_lkh = wire.decode, keytree.retrieve_lkh
+    receive, make_request = owner.receive, owner.make_request
+    headers = {}  # id of a decoded header -> (header, payload): walks name no payload
+    work = {}  # payload -> Counter of decodes, walks and copies since its first copy queued
+    inside = []  # the owner is receiving: other nodes decode too
+    settled = Counter()
+
+    def counting_decode(payload):
+        if inside:
+            work.setdefault(bytes(payload), Counter())["decodes"] += 1
+        message = decode(payload)
+        if inside:
+            headers[id(message.lkh_header)] = (message.lkh_header, bytes(payload))
+        return message
+
+    def counting_retrieve_lkh(tree, header, nonce):
+        work[headers[id(header)][1]]["walks"] += 1
+        return retrieve_lkh(tree, header, nonce)
+
+    def settle(payload):
+        counts = work.pop(payload, Counter())
+        assert counts["decodes"] <= 1 and counts["walks"] <= 1, counts
+        settled.update(counts)
+
+    def checked_receive(payload):
+        inside.append(True)
+        try:
+            result = receive(payload)
+        finally:
+            inside.pop()
+        work.setdefault(payload, Counter())["copies"] += 1
+        if payload not in owner.upcoming:  # its last copy has landed
+            settle(payload)
+        return result
+
+    def checked_make_request():
+        for payload in list(work):  # a new round: every verdict goes
+            settle(payload)
+        return make_request()
+
+    monkeypatch.setattr(wire, "decode", counting_decode)
+    monkeypatch.setattr(keytree, "retrieve_lkh", counting_retrieve_lkh)
+    owner.receive, owner.make_request = checked_receive, checked_make_request
+    world.run_until(6.0)
+    for payload in list(work):
+        settle(payload)
+    # Some payloads landed twice, and replays and junk were seen.
+    assert settled["copies"] > settled["decodes"] >= settled["walks"] > 40
+    assert node.rejects.get("replay") and node.rejects.get("forged-or-foreign")
 
 
 def test_receipt_counters(naive_fleet):

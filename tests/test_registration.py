@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from conftest import load_manifest_dir, read_trust_file
 from pulldisc import crypto, registration
 
 
@@ -129,7 +130,7 @@ def test_canonical_form_is_byte_stable(mfr, record, store):
 
 def test_store_persistence_roundtrip(tmp_path, mfr, record, store):
     store.save_dir(tmp_path / "manifests")
-    loaded = registration.ManifestStore.load_dir(tmp_path / "manifests")
+    loaded = load_manifest_dir(tmp_path / "manifests")
     assert loaded.get(record.url) == store.get(record.url)
     assert loaded.tokens() == store.tokens()
 
@@ -137,7 +138,7 @@ def test_store_persistence_roundtrip(tmp_path, mfr, record, store):
 def test_trust_file_roundtrip(tmp_path, mfr, rng):
     other = crypto.generate_keypair(rng)
     registration.write_trust_file(tmp_path / "trust.keys", [mfr.public_key, other.public_key])
-    keys = registration.read_trust_file(tmp_path / "trust.keys")
+    keys = read_trust_file(tmp_path / "trust.keys")
     assert keys == (mfr.public_key, other.public_key)
 
 
