@@ -284,23 +284,15 @@ class Owner:
                 else:
                     index, prf_evals, plaintext = walked
                     outcomes[payload] = self._outcome(index, plaintext, 0, prf_evals)
-        if not unwalked:
-            return outcomes
-        (first, item), *rest = unwalked.items()
-        found: dict[bytes, int | None] = {}
-        try:
-            found[first], _ = keytree.retrieve_naive(
-                self._scan_keys, *item, others=dict(rest), found=found
-            )
-        except keytree.RetrievalError:
-            found[first] = None
-        for payload, position in found.items():
-            if position is None:
-                outcomes[payload] = ImDiscard.FORGED_OR_FOREIGN, None
-            else:  # the sweep keeps only the position: open the winner once
-                plaintext = crypto.aead_open(self._scan_keys[position], *unwalked[payload])
-                index = self._scan_order[position]
-                outcomes[payload] = self._outcome(index, plaintext, index + 1, 0)
+        if unwalked:
+            positions, _ = keytree.retrieve_naive(self._scan_keys, list(unwalked.values()))
+            for (payload, item), position in zip(unwalked.items(), positions):
+                if position is None:
+                    outcomes[payload] = ImDiscard.FORGED_OR_FOREIGN, None
+                else:  # the sweep keeps only the position: open the winner once
+                    plaintext = crypto.aead_open(self._scan_keys[position], *item)
+                    index = self._scan_order[position]
+                    outcomes[payload] = self._outcome(index, plaintext, index + 1, 0)
         return outcomes
 
     def _walk(

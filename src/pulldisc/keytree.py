@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import crypto
 
@@ -29,7 +29,8 @@ class ParameterError(ValueError):
 
 
 class RetrievalError(LookupError):
-    """No enrolled key matches the sealed payload."""
+    """A key-tree header the tree cannot walk: its field count is not the
+    tree's height."""
 
 
 @dataclass(frozen=True)
@@ -140,27 +141,15 @@ def retrieve_lkh(
 
 
 def retrieve_naive(
-    keys: Iterable[bytes],
-    iv: bytes,
-    sealed: bytes,
-    associated_data: bytes = b"",
-    *,
-    others: Mapping[Hashable, tuple[bytes, bytes, bytes]] | None = None,
-    found: dict[Hashable, int | None] | None = None,
-) -> tuple[int, int]:
-    """Exhaustive trial decryption; returns (key index, trials used).
-
-    `others` maps more payloads to their (iv, sealed, associated data):
-    the same sweep of `keys` tries them too, and `found` gets the index of
-    each one's first opening key, or None, even when this payload opens
-    under no key."""
-    items = [(iv, sealed, associated_data), *(others.values() if others else ())]
-    index, *rest = crypto.aead_sweep(keys, items)
-    if others:
-        found.update(zip(others, rest))
-    if index is None:
-        raise RetrievalError("no key verified the payload")
-    return index, index + 1
+    keys: Sequence[bytes], items: Sequence[tuple[bytes, bytes, bytes]]
+) -> tuple[list[int | None], int]:
+    """Exhaustive trial decryption of every (iv, sealed, associated data)
+    item in one sweep of `keys`. Returns (positions, decrypts): each item's
+    first opening key position, or None if no key opens it, and the
+    decrypts the sweep made, position + 1 per opened item and len(keys)
+    per item no key opens."""
+    positions = crypto.aead_sweep(keys, items)
+    return positions, sum(len(keys) if p is None else p + 1 for p in positions)
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,18 @@ def _check(where: str, build):
         raise ConfigError(f"bad {where}: {exc}") from None
 
 
-def _check_period(where: str, name: str, period: float, horizon: float) -> None:
-    # A step the clock cannot add at the horizon would repeat one instant forever.
-    if horizon + period == horizon:
-        raise ConfigError(f"{where}: {name} {period!r} is below the clock's resolution "
-                          f"at horizon {horizon!r}")
+# The most sends one schedule may make in a run: an attestation or
+# announcement chain, a user's arrivals, or an adversary's emissions. Each
+# send is at least one event, so this bounds the work a config asks for.
+MAX_SENDS = 10**8
+
+
+def _check_sends(where: str, name: str, value: float, sends: float) -> None:
+    """Refuse a `name` of `value` that schedules more than MAX_SENDS sends;
+    a period below the clock's resolution schedules more than that."""
+    if sends > MAX_SENDS:
+        raise ConfigError(f"{where}: {name} {value!r} schedules {sends:.3g} sends, "
+                          f"more than the {MAX_SENDS:.0e} a run allows")
 
 
 def _named_entries(doc: dict, key: str) -> list[dict]:
@@ -178,11 +185,13 @@ def _nodes(devices, users, adversaries, horizon, *, provision, trust_keys, store
         if "announce_interval" in spec and device.mode is not device_mod.Mode.PUSH:
             raise ConfigError(f"{where}: announce_interval applies only to mode 'push' "
                               "(a blend device reads blend.announce_interval)")
-        _check_period(where, "t_att", record.t_att, horizon)
-        _check_period(where, "announce_interval", device.announce_interval, horizon)
+        _check_sends(where, "t_att", record.t_att, horizon / record.t_att)
+        if device.mode is device_mod.Mode.PUSH:  # no other mode reads announce_interval
+            interval = device.announce_interval
+            _check_sends(where, "announce_interval", interval, horizon / interval)
         if device.blend is not None:
-            _check_period(where, "blend.announce_interval", device.blend.announce_interval,
-                          horizon)
+            interval = device.blend.announce_interval
+            _check_sends(where, "blend.announce_interval", interval, horizon / interval)
     agent_nodes = []
     for spec in users:
         name = spec["name"]
@@ -194,13 +203,17 @@ def _nodes(devices, users, adversaries, horizon, *, provision, trust_keys, store
         arrivals = _check(f"arrival for {where}", lambda: simnet.ArrivalModel(**arrival))
         agent_nodes.append(_check(where, lambda: simnet.AgentNode(
             name, agent, arrivals, **_given(spec, _NODE_ARGS))))
-        if arrivals.kind != "burst":
-            _check_period(f"arrival for {where}", "interval", arrivals.interval, horizon)
+        if arrivals.kind == "burst":
+            _check_sends(f"arrival for {where}", "count", arrivals.count, arrivals.count)
+        else:
+            _check_sends(f"arrival for {where}", "interval", arrivals.interval,
+                         horizon / arrivals.interval)
     adversary_nodes = []
     for spec in adversaries:
         where = f"adversary {spec['name']}"
         node = _check(where, lambda: simnet.AdversaryNode(rng=node_rng(spec["name"]), **spec))
-        _check_period(where, "1/rate", 1.0 / node.rate, horizon)
+        if node.behavior != "replay":  # a replayer sends at `replay_at`, not at `rate`
+            _check_sends(where, "rate", node.rate, min(horizon, node.stop) * node.rate)
         adversary_nodes.append(node)
     return device_nodes, agent_nodes, adversary_nodes
 

@@ -371,7 +371,7 @@ class ArrivalModel:
     def times(self, rng: Random):
         """Request times in order, without end unless `count` caps them."""
         if self.kind == "burst":
-            yield from [self.start] * self.count
+            yield from itertools.repeat(self.start, self.count)
             return
         poisson = self.kind == "poisson"
         t = self.start + rng.expovariate(1.0 / self.interval) if poisson else self.start

@@ -5,6 +5,8 @@ Also reads back what `provision` writes (`ManifestStore.save_dir` and
 `registration.write_trust_file`): no command reads those files, so the
 readers live here, with the tests that check the on-disk format.
 
+Also counts the AES-GCM work a test makes (`aesgcm_counts`).
+
 Also hosts the acceptance-criterion summary: tests in test_acceptance.py
 record a line per criterion, printed at the end of the run whether or not
 output capture is on.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -136,3 +139,26 @@ class DevicePump:
 @pytest.fixture
 def pump_factory():
     return DevicePump
+
+
+@pytest.fixture
+def aesgcm_counts(monkeypatch):
+    """`crypto.AESGCM` replaced for the test by a wrapper that counts the
+    contexts built and the decrypts attempted. Reset with `.clear()`."""
+    counts = Counter()
+    aesgcm = crypto.AESGCM
+
+    class CountingAESGCM:
+        def __init__(self, key):
+            counts["contexts"] += 1
+            self.context = aesgcm(key)
+
+        def encrypt(self, *args):
+            return self.context.encrypt(*args)
+
+        def decrypt(self, *args):
+            counts["decrypts"] += 1
+            return self.context.decrypt(*args)
+
+    monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
+    return counts

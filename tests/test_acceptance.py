@@ -233,7 +233,7 @@ def test_criterion_7_lkh_oracle_equivalence(accept):
                 iv = rng.randbytes(12)
                 sealed = crypto.aead_seal(leaf_keys[device], iv, nonce + bytes(84))
                 via_tree, evals = keytree.retrieve_lkh(tree, header, nonce)
-                via_scan, _ = keytree.retrieve_naive(leaf_keys, iv, sealed)
+                (via_scan,), _ = keytree.retrieve_naive(leaf_keys, [(iv, sealed, b"")])
                 assert via_tree == device == via_scan
                 assert evals <= max(bound, tree.height * (p - 1))
                 assert evals <= (p - 1) * tree.height
@@ -261,7 +261,7 @@ def test_criterion_9_naive_brute_force_at_scale(accept):
         iv = rng.randbytes(12)
         sealed = crypto.aead_seal(keys[target], iv, bytes(96))
         t0 = time.perf_counter()
-        index, trials = keytree.retrieve_naive(keys, iv, sealed)
+        (index,), trials = keytree.retrieve_naive(keys, [(iv, sealed, b"")])
         elapsed += time.perf_counter() - t0
         scanned += trials
         assert index == target

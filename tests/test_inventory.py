@@ -320,37 +320,20 @@ def test_scan_order_never_changes_a_verdict(tree, n, rounds, hrng):
 
 
 @pytest.fixture
-def scan_cost(monkeypatch):
+def scan_cost(monkeypatch, aesgcm_counts):
     """Host-side cost of owner scans: `retrieve_naive` calls (sweeps), the
     trials they make for the payload received, and the AES-GCM contexts
     built and decrypts attempted. Reset with `.clear()`."""
-    cost = Counter()
-    retrieve, aesgcm = keytree.retrieve_naive, crypto.AESGCM
+    cost = aesgcm_counts
+    retrieve = keytree.retrieve_naive
 
-    def counting_retrieve(keys, *args, **kwargs):
+    def counting_retrieve(keys, items):
         cost["calls"] += 1
-        try:
-            index, trials = retrieve(keys, *args, **kwargs)
-        except keytree.RetrievalError:
-            cost["trials"] += len(keys)
-            raise
-        cost["trials"] += trials
-        return index, trials
-
-    class CountingAESGCM:
-        def __init__(self, key):
-            cost["contexts"] += 1
-            self.context = aesgcm(key)
-
-        def encrypt(self, *args):
-            return self.context.encrypt(*args)
-
-        def decrypt(self, *args):
-            cost["decrypts"] += 1
-            return self.context.decrypt(*args)
+        positions, decrypts = retrieve(keys, items)
+        cost["trials"] += len(keys) if positions[0] is None else positions[0] + 1
+        return positions, decrypts
 
     monkeypatch.setattr(keytree, "retrieve_naive", counting_retrieve)
-    monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
     return cost
 
 

@@ -124,33 +124,52 @@ def test_cross_decryption_matrix(rng):
                     crypto.aead_open(tree.leaf_key(j), iv, sealed)
 
 
+def _item(key, iv, ad=b""):
+    return iv, crypto.aead_seal(key, iv, b"x", ad), ad
+
+
 def test_naive_positions(rng):
     keys = [rng.randbytes(16) for _ in range(50)]
     iv = rng.randbytes(12)
-    index, trials = keytree.retrieve_naive(keys, iv, crypto.aead_seal(keys[37], iv, b"x"))
-    assert (index, trials) == (37, 38)
-    index, trials = keytree.retrieve_naive(keys[:1], iv, crypto.aead_seal(keys[0], iv, b"x"))
-    assert (index, trials) == (0, 1)
-    with pytest.raises(keytree.RetrievalError):
-        keytree.retrieve_naive(keys, iv, crypto.aead_seal(rng.randbytes(16), iv, b"x"))
+    assert keytree.retrieve_naive(keys, [_item(keys[37], iv)]) == ([37], 38)
+    assert keytree.retrieve_naive(keys[:1], [_item(keys[0], iv)]) == ([0], 1)
+    assert keytree.retrieve_naive(keys, [_item(rng.randbytes(16), iv)]) == ([None], 50)
 
 
 def test_naive_sweep_reports_every_other_payload(rng):
     keys = [rng.randbytes(16) for _ in range(50)]
     iv = rng.randbytes(12)
-    others = {
-        "hit": (iv, crypto.aead_seal(keys[12], iv, b"x", b"ad"), b"ad"),
-        "miss": (iv, crypto.aead_seal(rng.randbytes(16), iv, b"x"), b""),
-        "last": (iv, crypto.aead_seal(keys[49], iv, b"x"), b""),
-    }
-    found = {}
-    sealed = crypto.aead_seal(keys[37], iv, b"x")
-    assert keytree.retrieve_naive(keys, iv, sealed, others=others, found=found) == (37, 38)
-    assert found == {"hit": 12, "miss": None, "last": 49}
-    found = {}  # reported even when the payload received opens under no key
-    with pytest.raises(keytree.RetrievalError):
-        keytree.retrieve_naive(keys, iv, others["miss"][1], others=others, found=found)
-    assert found == {"hit": 12, "miss": None, "last": 49}
+    hit, miss, last = _item(keys[12], iv, b"ad"), _item(rng.randbytes(16), iv), _item(keys[49], iv)
+    items = [_item(keys[37], iv), hit, miss, last]
+    assert keytree.retrieve_naive(keys, items) == ([37, 12, None, 49], 38 + 13 + 50 + 50)
+    # Reported even when the first payload opens under no key.
+    assert keytree.retrieve_naive(keys, [miss, hit, miss, last]) == ([None, 12, None, 49], 50 + 13 + 50 + 50)
+
+
+def _first_by_aead_open(keys, iv, sealed, ad):
+    for position, key in enumerate(keys):
+        try:
+            crypto.aead_open(key, iv, sealed, ad)
+        except crypto.AeadAuthenticationError:
+            continue
+        return position
+    return None
+
+
+def test_naive_decrypts_are_the_decrypts_made(rng, aesgcm_counts):
+    """The count equals the AES-GCM decrypts the sweep makes, and the
+    positions equal a per-item `aead_open` loop's."""
+    keys = [rng.randbytes(16) for _ in range(40)]
+    iv = rng.randbytes(12)
+    first, middle, last = (_item(keys[i], iv, b"ad") for i in (0, 20, 39))
+    miss = _item(rng.randbytes(16), iv)
+    for items in ([first, middle, last, miss, middle], [middle, first], [miss], [last], []):
+        aesgcm_counts.clear()
+        positions, decrypts = keytree.retrieve_naive(keys, items)
+        assert decrypts == aesgcm_counts["decrypts"]
+        assert positions == [_first_by_aead_open(keys, *item) for item in items]
+    assert keytree.retrieve_naive(keys, [first, middle, last, miss, middle]) == (
+        [0, 20, 39, None, 20], 1 + 21 + 40 + 40 + 21)
 
 
 def test_naive_expected_trials_monte_carlo(rng):
@@ -162,7 +181,7 @@ def test_naive_expected_trials_monte_carlo(rng):
     runs = 1000
     for _ in range(runs):
         target = rng.randrange(n)
-        _, trials = keytree.retrieve_naive(keys, iv, crypto.aead_seal(keys[target], iv, b"x"))
+        _, trials = keytree.retrieve_naive(keys, [_item(keys[target], iv)])
         total += trials
     mean = total / runs
     assert mean == pytest.approx((n + 1) / 2, rel=0.05)

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import math
+import tracemalloc
 import types
 from pathlib import Path
 from random import Random
@@ -595,6 +596,17 @@ def test_burst_arrival_needs_no_interval():
     scenario.ScenarioConfig.from_dict(doc)
 
 
+def test_a_burst_yields_without_building_its_schedule():
+    burst = simnet.ArrivalModel("burst", start=2.0, count=10**7)
+    tracemalloc.start()
+    try:
+        assert next(burst.times(Random(1))) == 2.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a list of the 10^7 times would take 80 MB
+
+
 def test_per_node_record_is_the_nodes_own_counters():
     built, report = scenario.run_scenario(_hotel_config())
     for node in built.device_nodes:
@@ -716,6 +728,19 @@ def test_inventory_per_node_record_is_the_roles_own_counters():
 _BLEND = {"switch_threshold": 7, "window": 2.0, "push_period": 3.0, "announce_interval": 0.5}
 
 
+# Each schedules more sends than a run allows, and the refusal names the key
+# and the count. The first used to load and then need about 5x10^9 events.
+_PAST_THE_SEND_BOUND = [
+    ("announce-interval-1e-9",
+     {"horizon": 5.0, "devices": [{"name": "d", "mode": "push", "announce_interval": 1e-9}]},
+     r"device d: announce_interval 1e-09 schedules 5e\+09 sends"),
+    ("flood-at-1e9-per-s", {"adversaries": [{"name": "a", "behavior": "flood", "rate": 1e9}]},
+     r"adversary a: rate 1000000000.0 schedules 1e\+10 sends"),
+    ("burst-of-1e12", {"users": [{"name": "u", "arrival": {"kind": "burst", "count": 10**12}}]},
+     r"arrival for user u: count 1000000000000 schedules 1e\+12 sends"),
+]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -815,6 +840,7 @@ _BLEND = {"switch_threshold": 7, "window": 2.0, "push_period": 3.0, "announce_in
                           "blend": dict(_BLEND, announce_interval=1e-300)}]},
             id="blend-announce-interval-below-clock-resolution",
         ),
+        *(pytest.param(doc, id=name) for name, doc, _ in _PAST_THE_SEND_BOUND),
         *(
             pytest.param(
                 {"devices": [{"name": "d", "mode": "blend", "blend": {**_BLEND, key: math.nan}}]},
@@ -866,6 +892,23 @@ def test_bad_config_rejected_at_load(overrides):
     doc.update(overrides)
     with pytest.raises(scenario.ConfigError):
         scenario.ScenarioConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [case[1:] for case in _PAST_THE_SEND_BOUND],
+                         ids=[case[0] for case in _PAST_THE_SEND_BOUND])
+def test_a_schedule_past_the_send_bound_is_refused_naming_its_key(doc, message):
+    with pytest.raises(scenario.ConfigError, match=message):
+        scenario.ScenarioConfig.from_dict({"seed": 1, "horizon": 10.0, **doc})
+
+
+def test_the_send_bound_counts_only_the_sends_a_schedule_makes():
+    # Over 5x10^9 s, a pull device's default announce_interval (1.0) and a
+    # replayer's rate would count 5x10^9 and 5x10^11 sends, but neither
+    # schedules any; a flood sends only until its stop.
+    scenario.ScenarioConfig.from_dict({
+        "seed": 1, "horizon": 5e9, "devices": [{"name": "d", "t_att": 1e10}],
+        "adversaries": [{"name": "r", "behavior": "replay"},
+                        {"name": "f", "behavior": "flood", "rate": 1000.0, "stop": 12.0}]})
 
 
 @pytest.mark.parametrize(
