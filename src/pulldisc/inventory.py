@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from random import Random
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import crypto, keytree, wire
 from .device import Counters
@@ -151,13 +151,12 @@ class Owner:
         self._scan_order = array("I")
         self._scan_keys: list[bytes] = []
         self._responders: set[int] = set()  # indices with a receipt since the last request
-        # Payload -> copies queued to this owner and not yet landed. The
-        # simulator keeps it: `World.broadcast` adds each queued copy and
-        # `OwnerNode` removes it as it lands, before `receive`.
-        self.upcoming: dict[bytes, int] = {}
-        # Payload -> outcome, for payloads with a copy still in flight. An
-        # outcome depends only on the payload, the outstanding nonce, the
-        # tree and the scan keys, so `make_request` and
+        # The payloads queued to this owner, one per copy (`OwnerNode` points
+        # it at `World.queued_to`); alone, nothing is in flight.
+        self.upcoming: Callable[[], Iterable[bytes]] = lambda: ()
+        # Payload -> outcome, for the payloads of the last identification.
+        # An outcome depends only on the payload, the outstanding nonce,
+        # the tree and the scan keys, so `make_request` and
         # `_extend_scan_order` clear the table when those change.
         self._verdicts: dict[bytes, _Outcome] = {}
         self._image: tuple[bytes | None, bytes] = (None, b"")  # the last image enrolled, hashed
@@ -238,15 +237,16 @@ class Owner:
     def receive(self, payload: bytes) -> ImReceipt | ImDiscard:
         payload = bytes(payload)
         self._extend_scan_order()
-        if payload not in self._verdicts:
-            # Every queued payload with no verdict is identified with it, so
-            # each is decoded, walked and swept once while a copy is in flight.
-            queued = () if self._scan_alone else self.upcoming
-            fresh = [p for p in dict.fromkeys([payload, *queued]) if p not in self._verdicts]
-            self._verdicts.update(self._identify(fresh))
-        result, index = self._verdicts[payload]
-        if self._scan_alone or payload not in self.upcoming:  # its last copy has landed
-            del self._verdicts[payload]
+        if self._scan_alone:
+            result, index = self._identify([payload])[payload]
+        else:
+            if payload not in self._verdicts:
+                # Identified with every payload queued to the owner, each once
+                # while a copy is in flight; the table keeps just their verdicts.
+                batch = dict.fromkeys([payload, *self.upcoming()])
+                fresh = self._identify([p for p in batch if p not in self._verdicts])
+                self._verdicts = {p: fresh.get(p) or self._verdicts[p] for p in batch}
+            result, index = self._verdicts[payload]
         if index is None:
             self.counters.rejects[result.value] = self.counters.rejects.get(result.value, 0) + 1
         else:

@@ -8,6 +8,7 @@ rejected outright so a typo cannot silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -203,11 +204,14 @@ def _nodes(devices, users, adversaries, horizon, *, provision, trust_keys, store
         arrivals = _check(f"arrival for {where}", lambda: simnet.ArrivalModel(**arrival))
         agent_nodes.append(_check(where, lambda: simnet.AgentNode(
             name, agent, arrivals, **_given(spec, _NODE_ARGS))))
-        if arrivals.kind == "burst":
-            _check_sends(f"arrival for {where}", "count", arrivals.count, arrivals.count)
-        else:
-            _check_sends(f"arrival for {where}", "interval", arrivals.interval,
-                         horizon / arrivals.interval)
+        # Sends from `start` to the horizon, at most `count` (a burst: `count` at
+        # `start`); an interval the clock cannot resolve there leaves only `count`.
+        key = "count" if arrivals.kind == "burst" else "interval"
+        sends = math.inf if arrivals.count is None else arrivals.count
+        if key == "interval" and horizon + arrivals.interval > horizon:
+            sends = min(sends, (horizon - arrivals.start) / arrivals.interval)
+        _check_sends(f"arrival for {where}", key, getattr(arrivals, key),
+                     0 if arrivals.start > horizon else sends)
     adversary_nodes = []
     for spec in adversaries:
         where = f"adversary {spec['name']}"

@@ -116,17 +116,14 @@ class Metrics:
 class Node:
     """Base class: a named participant in one broadcast domain.
 
-    `hears`, `handled`, `queued` and `counters` are fixed once the node
-    joins a world: `World.broadcast` caches them per domain and frame kind.
-    The dicts may change in place, but are never replaced."""
+    `hears`, `handled` and `counters` are fixed once the node joins a
+    world: `World.broadcast` caches them per domain and frame kind. The
+    dict may change in place, but is never replaced."""
 
     # The frame kinds `handle_deliver` acts on; None hears every frame.
     hears: frozenset[bytes] | None = None
     # Payload -> latest arrival at which a copy changes only rx; None: no record.
     handled: dict | None = None
-    # Payload -> copies queued for delivery to this node, which removes each
-    # as it lands; None: no record.
-    queued: dict | None = None
 
     def __init__(self, name: str, domain: str = "default", component: object = None):
         # Broadcast compares domains for equality: a NaN one would match none.
@@ -142,7 +139,7 @@ class Node:
 
     def start(self, now: float) -> None:
         """Schedule initial events; called once, at the world's first run
-        or when the node joins a run in progress."""
+        or, before the node is registered, when it joins a run in progress."""
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
         pass
@@ -156,7 +153,7 @@ class World:
         self.link = link or LinkConfig()
         self.rng = Random(f"link/{seed}")
         self.nodes: dict[str, Node] = {}
-        # (domain, frame kind) -> (node, hears the kind, handled, queued, counters) per member.
+        # (domain, frame kind) -> (node, hears the kind, handled, counters) per member.
         self._fanout: dict[tuple[str, bytes], list[tuple]] = {}
         self._queue: list = []
         self._seq = itertools.count()
@@ -179,11 +176,11 @@ class World:
         if node.name in self.nodes:
             raise ValueError(f"duplicate node name {node.name!r}")
         node.world = self
+        if self._started:  # joins a run in progress: registered once its start succeeds
+            node.start(self.now)
         self.nodes[node.name] = node
         self._fanout.clear()
         self.metrics.per_node[node.name] = node.counters
-        if self._started:  # joins a run in progress
-            node.start(self.now)
         return node
 
     def node_rng(self, name: str) -> Random:
@@ -214,7 +211,6 @@ class World:
         payload's kind, or has handled the payload by the copy's arrival,
         gets no delivery: the frame is counted in its rx now if it arrives
         within the running horizon, and otherwise by a queued `_count_rx`.
-        A delivery to a node that keeps `queued` is recorded there.
         The receivers of a domain and frame kind are listed once, at the
         first such frame after a node joins."""
         if len(payload) > wire.MAX_PAYLOAD:
@@ -238,12 +234,11 @@ class World:
         fanout = self._fanout.get(key)
         if fanout is None:
             fanout = self._fanout[key] = [
-                (node, node.hears is None or key[1] in node.hears, node.handled, node.queued,
-                 node.counters)
+                (node, node.hears is None or key[1] in node.hears, node.handled, node.counters)
                 for node in self.nodes.values() if node.domain == key[0]
             ]
         dropped = 0
-        for node, hears, handled, queued, counters in fanout:
+        for node, hears, handled, counters in fanout:
             if node is sender_node:
                 continue
             if p_loss > 0.0 and random() < p_loss:
@@ -253,14 +248,16 @@ class World:
             at = now + (lo + span * random())
             if hears and (handled is None or queue_unheard or handled.get(payload, -1.0) < at):
                 push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
-                if queued is not None:
-                    queued[payload] = queued.get(payload, 0) + 1
             elif at <= horizon and not queue_unheard:
                 counters.rx_bytes += size
                 counters.rx_frames += 1
             else:
                 push(queue, (at, _PRIO_DELIVER, next(seq), None, partial(_count_rx, counters, size)))
         self.metrics.frames_dropped += dropped
+
+    def queued_to(self, node: Node) -> list[bytes]:
+        """The payloads of the deliveries queued to `node`, one per copy."""
+        return [frame.payload for _, _, _, to, frame in self._queue if to is node]
 
     def retransmit(self, sender: str, payload: bytes, now: float) -> None:
         """Reliability schedule: rebroadcast every 30 ms, ten copies total."""
@@ -474,12 +471,13 @@ class AgentNode(Node):
 
 
 def _times(name: str, times) -> list[float]:
-    """A copy of the list of event times `name`, each one range-checked."""
+    """The list of event times `name`, each one range-checked, sorted: a
+    start meets the earliest first, so one already past schedules none."""
     if not isinstance(times, (list, tuple)):
         raise ValueError(f"{name} must be a list of times, got {times!r}")
     for t in times:
         ranges.check(**{name: t})
-    return list(times)
+    return sorted(times)
 
 
 class ImDeviceNode(Node):
@@ -504,7 +502,7 @@ class ImDeviceNode(Node):
 class OwnerNode(Node):
     """Inventory owner issuing solicitation rounds on a fixed schedule.
 
-    The responses queued to it are the owner's `upcoming` record, so one
+    The owner reads the responses queued to it as `upcoming`, so one
     naive scan can cover every response already in flight."""
 
     def __init__(
@@ -516,7 +514,6 @@ class OwnerNode(Node):
     ):
         super().__init__(name, domain, owner)
         self.owner = owner
-        self.queued = owner.upcoming
         self.round_times = _times("round_times", round_times)
         self.receipts = []
         self.rejects = owner.counters.rejects
@@ -524,16 +521,13 @@ class OwnerNode(Node):
     def start(self, now: float) -> None:
         for t in self.round_times:
             self.world.schedule_action(t, self._solicit)
+        self.owner.upcoming = partial(self.world.queued_to, self)
 
     def _solicit(self, now: float) -> None:
         self.world.broadcast(self.name, self.owner.make_request(), now)
 
     def handle_deliver(self, frame: Frame, now: float) -> None:
-        payload, queued = frame.payload, self.queued
-        copies = queued.pop(payload, 0)  # this copy has landed
-        if copies > 1:
-            queued[payload] = copies - 1
-        result = self.owner.receive(payload)
+        result = self.owner.receive(frame.payload)
         if isinstance(result, ImReceipt):
             self.receipts.append((now, result))
 

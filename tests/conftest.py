@@ -5,7 +5,9 @@ Also reads back what `provision` writes (`ManifestStore.save_dir` and
 `registration.write_trust_file`): no command reads those files, so the
 readers live here, with the tests that check the on-disk format.
 
-Also counts the AES-GCM work a test makes (`aesgcm_counts`).
+Also counts the AES-GCM work a test makes (`aesgcm_counts`), imports
+the benchmark's modules read-only (`perfbench`) and holds the mixed
+scenario config that the golden outputs pin.
 
 Also hosts the acceptance-criterion summary: tests in test_acceptance.py
 record a line per criterion, printed at the end of the run whether or not
@@ -15,7 +17,9 @@ output capture is on.
 from __future__ import annotations
 
 import heapq
+import importlib
 import itertools
+import sys
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -24,6 +28,8 @@ import pytest
 
 from pulldisc import crypto, registration
 from pulldisc.device import Device, SetTimer, Transmit
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ACCEPTANCE_RESULTS: dict[int, str] = {}
 ACCEPTANCE_EXPECTED: set[int] = set()
@@ -57,6 +63,33 @@ def load_manifest_dir(directory: str | Path) -> registration.ManifestStore:
 def read_trust_file(path: str | Path) -> tuple[bytes, ...]:
     """The keys `registration.write_trust_file` wrote, one hex key per line."""
     return tuple(bytes.fromhex(line) for line in Path(path).read_text("ascii").split())
+
+
+# A run that drops nonces on a capped pull device, announces from a push
+# device and flips a blend device under a flood.
+MIXED_SCENARIO = {
+    "seed": 17,
+    "horizon": 60.0,
+    "link": {"p_loss": 0.02},
+    "devices": [
+        {"name": "capped", "t_gen": 1.0, "t_att": 20.0, "pool_tmp_cap": 40},
+        {"name": "pusher", "mode": "push", "t_att": 25.0, "announce_interval": 2.0},
+        {
+            "name": "blender",
+            "mode": "blend",
+            "pool_tmp_cap": 40,
+            "blend": {
+                "switch_threshold": 100, "window": 1.0, "push_period": 5.0,
+                "announce_interval": 1.0,
+            },
+        },
+    ],
+    "users": [
+        {"name": "u0", "arrival": {"kind": "periodic", "interval": 4.0, "start": 1.0}},
+        {"name": "u1", "arrival": {"kind": "poisson", "interval": 6.0}, "scan_window": 5.0},
+    ],
+    "adversaries": [{"name": "flooder", "behavior": "flood", "rate": 200.0, "stop": 20.0}],
+}
 
 
 @pytest.fixture
@@ -162,3 +195,13 @@ def aesgcm_counts(monkeypatch):
 
     monkeypatch.setattr(crypto, "AESGCM", CountingAESGCM)
     return counts
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's `run`, `tracer` and `workloads` modules, imported from perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # only read perfbench/
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    assert Path(run.__file__).resolve().parent == PERFBENCH
+    return run, importlib.import_module("tracer"), importlib.import_module("workloads")

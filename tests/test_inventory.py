@@ -2,7 +2,6 @@
 and owner-side identification in both retrieval modes."""
 
 import copy
-import hashlib
 from collections import Counter
 from random import Random
 from unittest import mock
@@ -426,23 +425,37 @@ class _ResponseForger(simnet.Node):
             self.world.broadcast(self.name, payload, now)
 
 
-def _queued_to(world, node):
-    """The payloads of the deliveries queued to `node`, with their copies."""
-    return Counter(frame.payload for _, _, _, to, frame in world._queue if to is node)
+def _watch_verdicts(owner, world, node):
+    """Check after every receipt that the owner's verdict table holds the
+    payloads of its last identification and no other: the payload received
+    and every payload then queued to it (none while each copy is identified
+    alone). Returns what it keeps: that last batch and the table's peak."""
+    receive, identify = owner.receive, owner._identify
+    watch, identified = {"last": set(), "peak": 0}, []
 
-
-def _watch_in_flight_records(owner, world, node):
-    """Check after every receipt that the owner's in-flight record is the
-    queue's and that it keeps verdicts only for payloads still queued."""
-    receive = owner.receive
+    def counting_identify(payloads):
+        identified.append(payloads)
+        return identify(payloads)
 
     def checked_receive(payload):
+        identified.clear()
         result = receive(payload)
-        assert owner.upcoming == _queued_to(world, node)
-        assert owner._verdicts.keys() <= owner.upcoming.keys()
+        if identified:
+            watch["last"] = {payload, *world.queued_to(node)}
+        assert owner._verdicts.keys() == (set() if owner._scan_alone else watch["last"])
+        watch["peak"] = max(watch["peak"], len(owner._verdicts))
         return result
 
-    owner.receive = checked_receive
+    owner.receive, owner._identify = checked_receive, counting_identify
+    return watch
+
+
+def _check_the_table_waits_for_a_new_request(owner, watch):
+    """At the end of a run the table holds only the payloads of the last
+    identification, and the next request empties it."""
+    assert owner._verdicts.keys() <= watch["last"]
+    owner.make_request()
+    assert owner._verdicts == {}
 
 
 def _answering_12_of_64():
@@ -463,6 +476,7 @@ def _answering_12_of_64():
 def test_responses_in_flight_together_share_one_sweep(scan_cost):
     world, node, answering = _answering_12_of_64()
     owner, k = node.owner, len(answering)
+    watch = _watch_verdicts(owner, world, node)
     for round_end, positions in ((1.5, answering), (2.5, range(k))):  # responders first
         scan_cost.clear()
         world.run_until(round_end)
@@ -472,7 +486,9 @@ def test_responses_in_flight_together_share_one_sweep(scan_cost):
         assert scan_cost["calls"] == 1
         assert scan_cost["contexts"] == max(positions) + 1 + 2 * k
         assert scan_cost["decrypts"] == sum(p + 1 for p in positions) + k
-    assert owner.upcoming == {} and owner._verdicts == {}
+        assert len(watch["last"]) == k  # the round's one identification
+    assert world.queued_to(node) == []
+    _check_the_table_waits_for_a_new_request(owner, watch)
 
 
 def test_a_second_copy_reads_its_verdict_instead_of_scanning(scan_cost):
@@ -501,20 +517,45 @@ def test_in_flight_records_hold_only_payloads_still_queued(scan_cost):
     for i in range(0, 64, 8):
         world.add_node(simnet.ImDeviceNode(f"d{i}", devices[i]))
     world.add_node(_ResponseForger("forger", [2.0], 30, 130, 94))
-    _watch_in_flight_records(owner, world, node)
+    watch = _watch_verdicts(owner, world, node)
     world.run_until(1.9)
     scan_cost.clear()
     world.run_until(2.005)  # within the burst: some copies have landed, not all
-    assert 0 < sum(owner.upcoming.values()) < 60
-    assert owner.upcoming == _queued_to(world, node)
-    assert owner._verdicts.keys() <= owner.upcoming.keys()
+    queued = world.queued_to(node)
+    assert 0 < len(queued) < 60
+    # The first copy to land was identified with the whole burst.
+    assert set(queued) < owner._verdicts.keys() == watch["last"]
+    assert len(watch["last"]) == 30
     world.run_until(2.5)
     # The whole burst was swept once: every key built once, tried on each payload.
     assert scan_cost == {"calls": 1, "trials": 64, "contexts": 64, "decrypts": 64 * 30}
     world.run_until(5.0)
-    assert owner.upcoming == {} and owner._verdicts == {}
+    assert world.queued_to(node) == []
+    _check_the_table_waits_for_a_new_request(owner, watch)
     assert node.rejects == {"forged-or-foreign": 60}
     assert len(node.receipts) == 16
+
+
+def test_the_verdict_table_stays_bounded_over_a_long_round():
+    rng = Random(97)
+    owner = Owner(crypto.generate_keypair(rng), Random(98))
+    devices = [owner.enroll_naive(info(i), b"img", rng) for i in range(64)]
+    world = simnet.World(seed=99)
+    node = world.add_node(simnet.OwnerNode("owner", owner, [1.0]))  # one 60 s round
+    for i in range(0, 64, 8):
+        world.add_node(simnet.ImDeviceNode(f"d{i}", devices[i]))
+    bursts = [1.5 + 0.5 * k for k in range(118)]  # every 0.5 s up to 60 s
+    world.add_node(_ResponseForger("forger", bursts, 10, 130, 100))
+    watch = _watch_verdicts(owner, world, node)
+    world.run_until(2.0)
+    first_burst = watch["peak"]
+    world.run_until(61.0)
+    # Each burst replaces the last one's verdicts: the table never holds
+    # more than one burst, however long the round runs.
+    assert watch["peak"] == first_burst == 10
+    assert node.rejects == {"forged-or-foreign": 2 * 10 * len(bursts)}
+    assert len(node.receipts) == 8
+    _check_the_table_waits_for_a_new_request(owner, watch)
 
 
 def test_a_key_enrolled_while_its_response_is_in_flight_opens_it(scan_cost):
@@ -532,9 +573,9 @@ def test_a_key_enrolled_while_its_response_is_in_flight_opens_it(scan_cost):
         world.add_node(simnet.ImDeviceNode("late", late, t_res=0.24))
         with mock.patch.object(Owner, "_scan_alone", alone):
             world.run_until(1.3385)
-            (late_payload,) = _queued_to(world, node)
+            (late_payload,) = world.queued_to(node)
             # Swept with no key for it: its outcome waits in the table.
-            assert alone or owner._verdicts == {late_payload: (ImDiscard.FORGED_OR_FOREIGN, None)}
+            assert alone or owner._verdicts[late_payload] == (ImDiscard.FORGED_OR_FOREIGN, None)
             owner._remember(info(32)[:12], late.record.shared_key)  # enrolled: now it opens
             world.run_until(2.0)
         return node.receipts, dict(node.rejects)
@@ -580,15 +621,16 @@ def _lkh_world():
 def test_shared_sweeps_match_scanning_each_payload_alone(build, splits, scan_cost):
     def run(alone):
         world, node = build()
-        _watch_in_flight_records(node.owner, world, node)
+        watch = _watch_verdicts(node.owner, world, node)
         scan_cost.clear()
         with mock.patch.object(Owner, "_scan_alone", alone):
             for split in splits:
                 world.run_until(split)
-                assert node.owner.upcoming  # responses in flight across the split
-            metrics = world.run_until(6.0)
-        assert node.owner.upcoming == {} and node.owner._verdicts == {}
-        return (node.receipts, dict(node.rejects), metrics.to_json()), scan_cost["calls"]
+                assert world.queued_to(node)  # responses in flight across the split
+            metrics = world.run_until(6.0).to_json()
+            outputs, sweeps = (node.receipts, dict(node.rejects), metrics), scan_cost["calls"]
+            _check_the_table_waits_for_a_new_request(node.owner, watch)
+        return outputs, sweeps
 
     (swept, sweeps), (alone, scans) = run(False), run(True)
     assert swept == alone
@@ -635,7 +677,7 @@ def test_each_payload_is_decoded_and_walked_once_while_in_flight(monkeypatch):
         finally:
             inside.pop()
         work.setdefault(payload, Counter())["copies"] += 1
-        if payload not in owner.upcoming:  # its last copy has landed
+        if payload not in world.queued_to(node):  # its last copy has landed
             settle(payload)
         return result
 
@@ -749,60 +791,6 @@ def test_respond_answers_alike_with_the_shared_parse_cold_or_warm(naive_fleet):
     assert cold is not None
     assert twin.respond(bytearray(request)) == cold  # warm
     assert owner.receive(cold).device_id == owner.device_ids[0]
-
-
-def _first_two_responses(mode):
-    """Enroll three devices (plus one refused device info) from the owner's
-    own generator, draw from it once more, then have every device answer two
-    requests. Returns the generator's state right after enrollment and each
-    device's two response payloads."""
-    owner = Owner(crypto.generate_keypair(Random(71)), Random(72))
-    infos = [info(i) for i in range(3)]
-    if mode == "naive":
-        devices = [owner.enroll_naive(infos[0], b"pinned image", owner.rng)]
-        with pytest.raises(ValueError):  # refused after its key and seed draws
-            owner.enroll_naive(b"unit-too-short", b"pinned image", owner.rng)
-        devices += [owner.enroll_naive(i, b"pinned image", owner.rng) for i in infos[1:]]
-    else:
-        with pytest.raises(ValueError):  # refused before any draw
-            owner.enroll_lkh_fleet([*infos, b"unit-too-short"], b"pinned image", 2, owner.rng)
-        devices = owner.enroll_lkh_fleet(infos, b"pinned image", 2, owner.rng)
-    state = owner.rng.getstate()
-    owner.rng.getrandbits(64)  # a device that drew its seed late would see this
-    requests = [owner.make_request(), owner.make_request()]
-    return state, [b"".join(device.respond(r) for r in requests) for device in devices]
-
-
-# SHA-256 of the enrolling generator's state and of each device's first two
-# response payloads, pinned so that how a device keeps its IV generator
-# cannot move a sealed byte or an enrollment draw.
-@pytest.mark.parametrize(
-    "mode, state_digest, payload_digests",
-    [
-        (
-            "naive",
-            "c159c653d301a705abcdb4d7ac419721148b4b92a12ab3ee72a1b657bc5f5198",
-            [
-                "57efed36abead7a99efdd42171c1532b1536cf4e09c1e45b7a597c1d4fff3e72",
-                "acb6c2d22171d9ada964acdb14c0962e15a2500b3d3c7ce7045029a38e977e17",
-                "ec9652e367db848126422415a0aa372a996adccd93b77adc9094c5a5dc947ade",
-            ],
-        ),
-        (
-            "lkh",
-            "875452cb58a1bdb7f2d34a4a5706c46b4692a6f01bd62b1c47d395fc8592e074",
-            [
-                "a1675fc37e978350d646e3e8673c1854a48bdedd91e9cfecba485b1d5ef8378d",
-                "b6e554e8f374299638da6e2a04171deeaeed040d50dd5ee8bea5784c667ea045",
-                "c7b07c4e091a10c54e313eb54e860a7ba7578c9a594dab8056d799be51ee9525",
-            ],
-        ),
-    ],
-)
-def test_enrollment_draws_and_sealed_bytes_pinned(mode, state_digest, payload_digests):
-    state, payloads = _first_two_responses(mode)
-    assert hashlib.sha256(repr(state).encode()).hexdigest() == state_digest
-    assert [hashlib.sha256(p).hexdigest() for p in payloads] == payload_digests
 
 
 def test_a_device_builds_its_generator_at_its_first_response(monkeypatch):

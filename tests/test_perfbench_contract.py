@@ -7,9 +7,7 @@ would otherwise surface only when the benchmark runs; here it fails the
 test suite. Nothing under perfbench/ is run beyond its imports, its
 workload configs and its `instrument`, which `restore` undoes."""
 
-import importlib
 import json
-import sys
 from pathlib import Path
 from random import Random
 
@@ -18,17 +16,6 @@ import pytest
 from pulldisc import crypto, inventory, keytree, scenario, wire
 
 ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-@pytest.fixture
-def perfbench(monkeypatch):
-    """perfbench's `run`, `tracer` and `workloads` modules, imported from perfbench/."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # only read perfbench/
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    run = importlib.import_module("run")
-    assert Path(run.__file__).resolve().parent == PERFBENCH
-    return run, importlib.import_module("tracer"), importlib.import_module("workloads")
 
 
 def test_the_benchmark_finds_every_name_it_wraps_or_imports(perfbench):
@@ -52,7 +39,7 @@ def test_the_naive_trial_count_is_the_decrypts_the_sweep_makes(perfbench, aesgcm
     request = owner.make_request()
     landed, *queued = (devices[i].respond(request) for i in (5, 30, 63))
     foreign = wire.ID_IM_RESPONSE + bytes(len(landed) - 6)  # opens under no key
-    owner.upcoming.update(dict.fromkeys([*queued, foreign], 1))
+    owner.upcoming = lambda: [*queued, foreign]
 
     aesgcm_counts.clear()
     tracer = tracer_module.Tracer()

@@ -302,8 +302,20 @@ def test_replayer_joining_after_its_replay_time_is_refused():
     world = simnet.World(seed=1)
     world.add_node(Sink("a"))
     world.run_until(5.0)
-    with pytest.raises(ValueError):
-        world.add_node(simnet.AdversaryNode("adv", "replay", Random(1), replay_at=[1.0]))
+    owner = _owner()
+    state = lambda: (list(world.nodes), list(world.metrics.per_node), len(world._queue))
+    before = state()
+    # Any time already past refuses the join, wherever the list puts it,
+    # and the refused node leaves nothing behind.
+    for late in (simnet.AdversaryNode("adv", "replay", Random(1), replay_at=[1.0]),
+                 simnet.AdversaryNode("adv", "replay", Random(1), replay_at=[6.0, 2.0]),
+                 simnet.OwnerNode("owner", owner, [9.0, 1.0])):
+        with pytest.raises(ValueError):
+            world.add_node(late)
+        assert state() == before
+    world.add_node(simnet.AdversaryNode("adv", "replay", Random(1), replay_at=[6.0]))
+    world.run_until(10.0)
+    assert owner.counters.signatures == 0
 
 
 def test_seed_changes_change_the_run():
@@ -829,6 +841,18 @@ _PAST_THE_SEND_BOUND = [
             {"users": [{"name": "u", "arrival": {"kind": "periodic", "interval": 1e-300}}]},
             id="arrival-interval-below-clock-resolution",
         ),
+        # Counted from a start just before the horizon, these make few sends,
+        # but the clock cannot move by the interval there: the run would hang.
+        pytest.param(
+            {"users": [{"name": "u", "arrival": {"kind": "periodic", "interval": 1e-16,
+                                                 "start": 10.0 - 1e-9}}]},
+            id="arrival-interval-below-clock-resolution-near-the-horizon",
+        ),
+        pytest.param(
+            {"users": [{"name": "u", "arrival": {"kind": "poisson", "interval": 1e-300,
+                                                 "start": 10.0}}]},
+            id="arrival-interval-below-clock-resolution-at-the-horizon",
+        ),
         pytest.param({"adversaries": [{"name": "a", "behavior": "flood", "rate": 1e300}]},
                      id="adversary-rate-above-clock-resolution"),
         pytest.param({"devices": [{"name": "d", "t_att": 1e-300}]},
@@ -909,6 +933,16 @@ def test_the_send_bound_counts_only_the_sends_a_schedule_makes():
         "seed": 1, "horizon": 5e9, "devices": [{"name": "d", "t_att": 1e10}],
         "adversaries": [{"name": "r", "behavior": "replay"},
                         {"name": "f", "behavior": "flood", "rate": 1000.0, "stop": 12.0}]})
+    # Arrivals count from their start and stop at their count: over 100 s,
+    # an interval of 1e-7 s capped at 5 requests sends 5, and one that
+    # starts after the horizon sends none.
+    config = scenario.ScenarioConfig.from_dict({
+        "seed": 1, "horizon": 100.0,
+        "users": [{"name": "capped", "arrival": {"kind": "periodic", "interval": 1e-7, "count": 5}},
+                  {"name": "late", "arrival": {"kind": "poisson", "interval": 1e-7, "start": 200.0}}]})
+    metrics = scenario.run_scenario(config)[1].metrics
+    assert metrics.per_node["capped"].tx_frames == 5
+    assert metrics.per_node["late"].tx_frames == 0
 
 
 @pytest.mark.parametrize(
