@@ -6,7 +6,10 @@ pooled and answered collectively by one signed response, generated when
 the response delay expires or the pool hits its cap, whichever is first.
 Requests arriving while a response is being generated land in a temporary
 overflow list that is drained into the pool in pool-sized blocks, each
-block triggering another generation pass.
+block triggering another generation pass. Such a request changes nothing
+else until the window ends, so a caller may hand over the requests that
+land by `pools_until` as one batch (`pool_batch`) instead of one
+`on_frame` call each.
 
 Generation occupies the device for `t_res` seconds after its earlier work
 (signing dominates); the response is broadcast at the end of that window.
@@ -213,12 +216,7 @@ class Device:
             actions.extend(self.blend_step(now))
 
         if self.in_gen:
-            pool_tmp = self.pool_tmp
-            pool_tmp.append(nonce)
-            if self.pool_tmp_cap is not None and len(pool_tmp) > self.pool_tmp_cap:
-                self.random_delete()
-            if len(pool_tmp) > self.counters.pool_tmp_peak:
-                self.counters.pool_tmp_peak = len(pool_tmp)
+            self._overflow((nonce,))
             return actions
 
         self.pool.append(nonce)
@@ -229,6 +227,31 @@ class Device:
             self.gen_deadline = now + self.provisioning.t_gen
             actions.append(SetTimer(TimerKind.GEN_DEADLINE, self.gen_deadline))
         return actions
+
+    def pools_until(self, end: float) -> float:
+        """The latest arrival at which a request only lands in `pool_tmp`,
+        in the window that ends at `end`: `end` for a pull device; for a
+        blend device in push, also before push ends, so that no request can
+        switch the mode and no tick can end push; for any other, none."""
+        if self.mode is Mode.PULL:
+            return end
+        if self.mode is Mode.BLEND and self.push_until is not None:
+            return min(end, math.nextafter(self.push_until, -math.inf))
+        return -math.inf
+
+    def pool_batch(self, requests: list[tuple[float, bytes]]) -> None:
+        """Take (arrival, payload) frames in arrival order, each landing in
+        the open window by `pools_until`: the state `on_frame` leaves for
+        each in turn, in one call. Nothing else in the window touches that
+        state or `rng`, so the batch may be taken when the window ends."""
+        requests = [(t, p) for t, p in requests
+                    if len(p) == wire.REQUEST_LEN and p.startswith(wire.ID_REQUEST)]
+        if not requests:
+            return
+        if self.mode is Mode.BLEND:
+            self._arrivals.extend(t for t, _ in requests)
+            self._trim_arrivals(requests[-1][0])
+        self._overflow([bytes(p[6:]) for _, p in requests])
 
     def on_timer(self, kind: TimerKind, at: float) -> list[Action]:
         """Fire the `kind` timer that was set for time `at`, at that time."""
@@ -353,9 +376,7 @@ class Device:
     def blend_step(self, now: float) -> list[Action]:
         """Update the request-rate window; switch to push when it spills."""
         self._arrivals.append(now)
-        horizon = now - self.blend.window
-        while self._arrivals and self._arrivals[0] < horizon:
-            self._arrivals.popleft()
+        self._trim_arrivals(now)
         in_push = self.push_until is not None and now < self.push_until
         if not in_push and len(self._arrivals) > self.blend.switch_threshold:
             self.push_until = now + self.blend.push_period
@@ -363,11 +384,20 @@ class Device:
             return [SetTimer(TimerKind.ANNOUNCE, now)]
         return []
 
-    def random_delete(self) -> None:
-        """Enforce the overflow cap by dropping uniformly random nonces."""
-        if self.pool_tmp_cap is None:
-            return
-        while len(self.pool_tmp) > self.pool_tmp_cap:
-            victim = self.rng.randrange(len(self.pool_tmp))
-            self.pool_tmp.pop(victim)
-            self.counters.dropped_nonces += 1
+    def _trim_arrivals(self, now: float) -> None:
+        horizon = now - self.blend.window
+        while self._arrivals and self._arrivals[0] < horizon:
+            self._arrivals.popleft()
+
+    def _overflow(self, nonces) -> None:
+        """Land `nonces` in order in the overflow list; past the cap, each
+        evicts a uniformly random nonce, so the list never grows past it."""
+        pool_tmp, cap, counters = self.pool_tmp, self.pool_tmp_cap, self.counters
+        for nonce in nonces:
+            pool_tmp.append(nonce)
+            if cap is not None and len(pool_tmp) > cap:
+                del pool_tmp[self.rng.randrange(len(pool_tmp))]
+                counters.dropped_nonces += 1
+        # Each nonce leaves the list longer or as long, so its last length is its peak.
+        if len(pool_tmp) > counters.pool_tmp_peak:
+            counters.pool_tmp_peak = len(pool_tmp)

@@ -12,11 +12,14 @@ its kind and have not handled its payload by its arrival (a user handles a
 response once per scan window). Every other receiver still draws its loss
 and latency, in the same order, and counts the frame in its rx counters:
 at send time when it arrives within the running horizon, otherwise through
-a queued event that counts it on arrival. So rx counters and all outputs
-are those of delivering every frame to every node. The receivers of a
-domain, with what each hears, are listed once per frame kind and listed
-again when a node joins; `World._queue_unheard` turns on the reference
-path that queues every frame, which differential tests compare against.
+a queued event that counts it on arrival. A request that lands in a
+device's generation window by its `pools_until` is counted at send time
+too, and joins a batch the device takes in one call (`DeviceNode`). So rx
+counters and all outputs are those of delivering every frame to every
+node. The receivers of a domain, with what each hears, are listed once per
+frame kind and listed again when a node joins; `World._queue_unheard`
+turns on the reference path that queues every frame and batches none,
+which differential tests compare against.
 
 Event ordering is total and deterministic: (time, priority, sequence),
 with deliveries processed first at equal timestamps, then device timers
@@ -29,6 +32,7 @@ is what the unlinkability checks observe.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import json
@@ -36,6 +40,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -116,14 +121,16 @@ class Metrics:
 class Node:
     """Base class: a named participant in one broadcast domain.
 
-    `hears`, `handled` and `counters` are fixed once the node joins a
-    world: `World.broadcast` caches them per domain and frame kind. The
-    dict may change in place, but is never replaced."""
+    `hears`, `handled`, `batch` and `counters` are fixed once the node
+    joins a world: `World.broadcast` caches them per domain and frame kind.
+    The dict and list may change in place, but are never replaced."""
 
     # The frame kinds `handle_deliver` acts on; None hears every frame.
     hears: frozenset[bytes] | None = None
     # Payload -> latest arrival at which a copy changes only rx; None: no record.
     handled: dict | None = None
+    # (arrival, payload) of copies taken later in one call, not queued; None: never.
+    batch: list | None = None
 
     def __init__(self, name: str, domain: str = "default", component: object = None):
         # Broadcast compares domains for equality: a NaN one would match none.
@@ -153,7 +160,7 @@ class World:
         self.link = link or LinkConfig()
         self.rng = Random(f"link/{seed}")
         self.nodes: dict[str, Node] = {}
-        # (domain, frame kind) -> (node, hears the kind, handled, counters) per member.
+        # (domain, frame kind) -> (node, hears the kind, handled, counters, batch) per member.
         self._fanout: dict[tuple[str, bytes], list[tuple]] = {}
         self._queue: list = []
         self._seq = itertools.count()
@@ -211,6 +218,8 @@ class World:
         payload's kind, or has handled the payload by the copy's arrival,
         gets no delivery: the frame is counted in its rx now if it arrives
         within the running horizon, and otherwise by a queued `_count_rx`.
+        A copy that lands within the horizon and by a receiver's
+        `batch_until` is appended to its `batch` and counted in rx now.
         The receivers of a domain and frame kind are listed once, at the
         first such frame after a node joins."""
         if len(payload) > wire.MAX_PAYLOAD:
@@ -234,11 +243,12 @@ class World:
         fanout = self._fanout.get(key)
         if fanout is None:
             fanout = self._fanout[key] = [
-                (node, node.hears is None or key[1] in node.hears, node.handled, node.counters)
+                (node, node.hears is None or key[1] in node.hears, node.handled, node.counters,
+                 node.batch)
                 for node in self.nodes.values() if node.domain == key[0]
             ]
         dropped = 0
-        for node, hears, handled, counters in fanout:
+        for node, hears, handled, counters, batch in fanout:
             if node is sender_node:
                 continue
             if p_loss > 0.0 and random() < p_loss:
@@ -247,12 +257,15 @@ class World:
             # The same draw, and the same float, as rng.uniform(lo, hi).
             at = now + (lo + span * random())
             if hears and (handled is None or queue_unheard or handled.get(payload, -1.0) < at):
-                push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
-            elif at <= horizon and not queue_unheard:
-                counters.rx_bytes += size
-                counters.rx_frames += 1
-            else:
+                if batch is None or at > node.batch_until or at > horizon:
+                    push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
+                    continue
+                batch.append((at, payload))
+            elif at > horizon or queue_unheard:
                 push(queue, (at, _PRIO_DELIVER, next(seq), None, partial(_count_rx, counters, size)))
+                continue
+            counters.rx_bytes += size
+            counters.rx_frames += 1
         self.metrics.frames_dropped += dropped
 
     def queued_to(self, node: Node) -> list[bytes]:
@@ -295,6 +308,9 @@ class World:
                 m.rx_bytes += detail.wire_size
                 m.rx_frames += 1
                 node.handle_deliver(detail, time)
+        for node in self.nodes.values():
+            if node.batch:
+                node.take_batch()
         self._horizon = -math.inf
         self._carried = [(m, m.busy_seconds) for m in self.metrics.per_node.values()
                          if m.busy_until > horizon]
@@ -314,22 +330,49 @@ def _count_rx(counters: device_mod.Counters, size: int, now: float | None = None
 # -- standard node wrappers ----------------------------------------------------
 
 
+_arrival = itemgetter(0)
+
+
 class DeviceNode(Node):
-    """Adapts a pull/push/blend device to the event loop."""
+    """Adapts a pull/push/blend device to the event loop.
+
+    While the device is in a generation window, a request copy that lands
+    by the device's `pools_until` is not queued: `World.broadcast` appends
+    it to `batch`. The device takes the batch in arrival order in one call
+    when the window ends, before a queued delivery to it takes the copies
+    that land earlier, and when a run returns takes the rest."""
 
     def __init__(self, name: str, device: device_mod.Device, domain: str = "default"):
         super().__init__(name, domain, device)
         self.device = device
+        # A stand-in device states no `pools_until`: every copy is queued to it.
+        self.batch = [] if isinstance(device, device_mod.Device) else None
+        self.batch_until = -math.inf
 
     def start(self, now: float) -> None:
         self._apply(self.device.boot(now), now)
 
+    def take_batch(self, before: float = math.inf) -> None:
+        """Hand the device the batched copies that land before `before`, in
+        (arrival, send) order."""
+        batch = self.batch
+        batch.sort(key=_arrival)
+        taken = bisect.bisect_left(batch, before, key=_arrival)
+        self.device.pool_batch(batch[:taken])
+        del batch[:taken]
+
     def handle_deliver(self, frame: Frame, now: float) -> None:
+        if self.batch:
+            self.take_batch(now)
         actions = self.device.on_frame(frame.payload, now)
         if actions:
             self._apply(actions, now)
 
     def _timer(self, kind: device_mod.TimerKind, now: float) -> None:
+        if kind is device_mod.TimerKind.GEN_COMPLETE:
+            if self.batch:
+                self.take_batch()
+            self.batch_until = -math.inf
         self._apply(self.device.on_timer(kind, now), now)
 
     def _apply(self, actions, now: float) -> None:
@@ -342,6 +385,9 @@ class DeviceNode(Node):
                         self.name, action.payload, now, wire_size=action.wire_size
                     )
             elif isinstance(action, device_mod.SetTimer):
+                if (action.kind is device_mod.TimerKind.GEN_COMPLETE and self.batch is not None
+                        and not self.world._queue_unheard):
+                    self.batch_until = self.device.pools_until(action.at)
                 timer = partial(self._timer, action.kind)
                 self.world.schedule_action(action.at, timer, _PRIO_TIMER_BASE + action.kind.value)
 

@@ -234,6 +234,52 @@ def test_random_delete_reproducible(record):
     assert surviving(5) == surviving(5)
 
 
+def _in_window(record, mode, cap):
+    """A device whose `t_res` window is open, that window's start and end.
+    A pull device fills its pool at 1.0; a blend device switches to push at
+    0.95, until 1.05, and announces; its rate window keeps 0.02 s."""
+    rng = Random(20)
+    if mode is Mode.PULL:
+        dev = make_device(record, pool_tmp_cap=cap)
+        dev.boot(0.0)
+        for _ in range(129):
+            actions = dev.on_frame(request(rng), 1.0)
+        opened = 1.0
+    else:
+        policy = BlendPolicy(switch_threshold=50, window=0.02, push_period=0.1, announce_interval=1.0)
+        dev = make_device(record, mode=Mode.BLEND, blend=policy, pool_tmp_cap=cap)
+        dev.boot(0.0)
+        for _ in range(51):
+            dev.on_frame(request(rng), 0.95)
+        opened, actions = 0.95, dev.on_timer(TimerKind.ANNOUNCE, 0.95)
+    (end,) = [a.at for a in actions if isinstance(a, SetTimer) and a.kind is TimerKind.GEN_COMPLETE]
+    assert dev.in_gen
+    return dev, opened, end
+
+
+@pytest.mark.parametrize("cap", [None, 0, 5])
+@pytest.mark.parametrize("mode", [Mode.PULL, Mode.BLEND])
+def test_a_batch_leaves_the_state_of_its_frames_one_at_a_time(record, mode, cap):
+    one, opened, end = _in_window(record, mode, cap)
+    batched, _, _ = _in_window(record, mode, cap)
+    until = one.pools_until(end)
+    assert until == (end if mode is Mode.PULL else math.nextafter(1.05, 0.0))
+    rng = Random(21)
+    times = sorted([opened, until] + [rng.uniform(opened, until) for _ in range(30)] * 2)
+    frames = [(t, request(rng)) for t in times]
+    frames[7:7] = [(times[7], b"DP-REQ" + bytes(11)), (times[7], b"DP-RES" + bytes(96))]
+    for t, payload in frames:
+        assert one.on_frame(payload, t) == []
+    batched.pool_batch(frames)
+
+    def state(dev):
+        return (dev.pool, dev.pool_tmp, list(dev._arrivals), dev.push_until,
+                dev._next_announce_at, dev.counters, dev.rng.random())
+
+    assert state(batched) == state(one)
+    assert len(one.pool_tmp) == (len(times) if cap is None else cap)
+
+
 @given(
     bursts=st.lists(
         st.tuples(st.integers(0, 300), st.floats(0.0, 3.0)), min_size=1, max_size=6

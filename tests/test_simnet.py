@@ -1408,23 +1408,121 @@ def _user_outputs(built):
     ]
 
 
+def _device_state(device):
+    """What a batch of requests may change, and the state of the device's rng."""
+    counters = device.counters
+    return (list(device.pool), list(device.pool_tmp), list(device._arrivals), device.push_until,
+            counters.dropped_nonces, counters.pool_tmp_peak, counters.announcements,
+            device.rng.getstate())
+
+
 def test_fanout_matches_queueing_every_frame_under_a_flood():
     config = scenario.ScenarioConfig.from_dict(_FLOOD)
 
-    def run():
+    def run(splits):
         built = scenario.build_world(config)
+        at_splits = []
+        for split in splits:
+            metrics = built.world.run_until(split)
+            at_splits.append((metrics.to_json(), [n.device.in_gen for n in built.device_nodes],
+                              [_device_state(n.device) for n in built.device_nodes]))
         metrics = built.world.run_until(config.horizon)
-        return metrics.to_json(), _user_outputs(built), [
-            (n.device.counters.dropped_nonces, n.device.counters.announcements)
-            for n in built.device_nodes
-        ]
+        devices = [_device_state(n.device) for n in built.device_nodes]
+        return metrics.to_json(), _user_outputs(built), devices, at_splits
+
+    # The second run splits while all three devices are in a generation window.
+    for splits in ((), (0.5, 1.7, 2.9)):
+        fast, reference = _both_ways(functools.partial(run, splits))
+        assert fast == reference
+        doc, users, devices, at_splits = fast
+        assert all(all(in_gen) for _, in_gen, _ in at_splits)
+        assert json.loads(doc)["frames_dropped"] > 0
+        assert all(reports and discards for reports, _, discards in users)
+        assert all(device[4] > 0 for device in devices) and devices[-1][6] > 0
+
+
+def test_a_flood_queues_no_event_for_a_request_that_only_pools():
+    """A request that lands in a device's generation window is batched, not
+    queued: the flood queues under 6,000 events, 12,995 when each is queued."""
+    with mock.patch.object(simnet, "heapq", _budgeted_heapq(6_000)):
+        scenario.run_scenario(scenario.ScenarioConfig.from_dict(_FLOOD))
+
+
+def _request_world(record, link, device, sends):
+    """A sender "tx" and the device as node "dev"; `sends` is (time,
+    payload) broadcasts from "tx"."""
+    world = simnet.World(seed=2, link=link)
+    world.add_node(Sink("tx"))
+    node = world.add_node(simnet.DeviceNode("dev", device))
+    for t, payload in sends:
+        world.schedule_action(t, functools.partial(world.broadcast, "tx", payload))
+    return world, node
+
+
+def test_a_copy_queued_before_a_window_lands_after_batched_ones(record):
+    """200 requests sent at 1.0 fill the pool as they land, so the window
+    opens while the last 71 are in flight; requests sent in the window land
+    among them, batched, and must pool before every later queued copy."""
+    rng = Random(4)
+    sends = [(t, wire.RequestMsg(rng.randbytes(12)).encode())
+             for t in [1.0] * 200 + [1.0 + 0.01 * k for k in range(1, 40)]]
+
+    def run():
+        world, node = _request_world(
+            record, simnet.LinkConfig(latency_min=0.0, latency_max=0.2),
+            device_mod.Device(record, b"image", Random(3)), sends)
+        deliver, early = node.handle_deliver, []
+
+        def recording_deliver(frame, now):
+            early.append(sum(t < now for t, _ in node.batch))
+            deliver(frame, now)
+
+        node.handle_deliver = recording_deliver
+        states = []
+        for horizon in (1.3, 3.0):
+            metrics = world.run_until(horizon)
+            states.append((list(node.device.pool_tmp), list(node.device.pool),
+                           node.device.counters.responses, metrics.to_json()))
+        return states, sum(early)
 
     fast, reference = _both_ways(run)
-    assert fast == reference
-    doc, users, devices = fast
-    assert json.loads(doc)["frames_dropped"] > 0
-    assert all(reports and discards for reports, _, discards in users)
-    assert all(dropped > 0 for dropped, _ in devices) and devices[-1][1] > 0
+    assert fast[0] == reference[0]
+    assert fast[1] > 0  # a queued copy found earlier ones in the batch
+    assert len(fast[0][0][0]) > 71  # at 1.3 the window still pools
+
+
+def test_push_that_ends_inside_a_window_batches_only_earlier_requests(record):
+    """A blend device switches to push at 1.0 until 1.5 and announces at 1.0
+    and 1.4, a window that ends at 1.633. With no latency, a request lands
+    at 1.45, at 1.5 and at 1.55: only the first may be batched, since the
+    one at 1.5 finds push over and switches the device to push again."""
+    policy = device_mod.BlendPolicy(
+        switch_threshold=3, window=1.0, push_period=0.5, announce_interval=0.4)
+    rng = Random(5)
+    sends = [(t, wire.RequestMsg(rng.randbytes(12)).encode())
+             for t in (1.0, 1.0, 1.0, 1.0, 1.45, 1.5, 1.55)]
+
+    def run():
+        device = device_mod.Device(record, b"image", Random(6), mode=device_mod.Mode.BLEND,
+                                   blend=policy)
+        world, node = _request_world(
+            record, simnet.LinkConfig(latency_min=0.0, latency_max=0.0), device, sends)
+        pool_batch, batched = device.pool_batch, []
+
+        def recording_batch(requests):
+            batched.extend(t for t, _ in requests)
+            pool_batch(requests)
+
+        device.pool_batch = recording_batch
+        metrics = world.run_until(1.6)
+        state = _device_state(device)
+        metrics = world.run_until(4.0)
+        return state, _device_state(device), metrics.to_json(), batched
+
+    fast, reference = _both_ways(run)
+    assert fast[:3] == reference[:3]
+    assert fast[3] == [1.45] and reference[3] == []
+    assert fast[0][3] == 2.0  # push again from 1.5
 
 
 def test_shared_decode_equals_a_fresh_decode_of_every_delivered_payload(monkeypatch):
