@@ -17,6 +17,7 @@ A bad argument or config prints one `error:` line and exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -38,6 +39,15 @@ def _resolve_config(path: str) -> Path:
     if base and (Path(base) / path).exists():
         return Path(base) / path
     return p  # let the loader produce the error
+
+
+@contextlib.contextmanager
+def _writing(out: Path):
+    """Report an output under `out` that cannot be made or written as a bad argument."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
 
 
 def _cmd_provision(args) -> int:
@@ -70,10 +80,11 @@ def _cmd_provision(args) -> int:
             }
         )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    store.save_dir(out / "manifests")
-    registration.write_trust_file(out / "trust.keys", [mfr.public_key])
-    (out / "devices.json").write_text(json.dumps(records, indent=2) + "\n")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        store.save_dir(out / "manifests")
+        registration.write_trust_file(out / "trust.keys", [mfr.public_key])
+        (out / "devices.json").write_text(json.dumps(records, indent=2) + "\n")
     print(f"provisioned {args.count} device(s) under {out}")
     return 0
 
@@ -93,10 +104,11 @@ def _run_one_seed(config: scenario.ScenarioConfig, out_dir: str) -> tuple[str, l
     """Write one run's three output files; returns (report path, failed checks)."""
     _, report = scenario.run_scenario(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "metrics.json").write_text(report.metrics.to_json() + "\n")
-    (out / "metrics.csv").write_text(scenario.metrics_csv(report.metrics))
+    with _writing(out):  # a sweep's worker raises its ValueError back through the pool
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(report.to_json() + "\n")
+        (out / "metrics.json").write_text(report.metrics.to_json() + "\n")
+        (out / "metrics.csv").write_text(scenario.metrics_csv(report.metrics))
     return str(out / "report.json"), [k for k, ok in report.checks.items() if not ok]
 
 

@@ -8,7 +8,8 @@ Requests arriving while a response is being generated land in a temporary
 overflow list that is drained into the pool in pool-sized blocks, each
 block triggering another generation pass. Such a request changes nothing
 else until the window ends, so a caller may hand over the requests that
-land by `pools_until` as one batch (`pool_batch`) instead of one
+land by `pools_until`, a bound the device sets where a window opens and
+clears where it closes, as one batch (`pool_batch`) instead of one
 `on_frame` call each.
 
 Generation occupies the device for `t_res` seconds after its earlier work
@@ -127,6 +128,12 @@ def _arrivals_cap(blend: BlendPolicy | None) -> int | None:
 class Device:
     """One pull/push/blend device instance; single-threaded by contract."""
 
+    # The latest arrival at which a request only lands in `pool_tmp`, set by
+    # `_occupy` for the window it opens and cleared when it closes: its end
+    # for a pull device; for a blend device in push, also before push ends,
+    # so that no request can switch the mode and no tick can end push.
+    pools_until = -math.inf
+
     def __init__(
         self,
         provisioning: DeviceProvisioningRecord,
@@ -228,17 +235,6 @@ class Device:
             actions.append(SetTimer(TimerKind.GEN_DEADLINE, self.gen_deadline))
         return actions
 
-    def pools_until(self, end: float) -> float:
-        """The latest arrival at which a request only lands in `pool_tmp`,
-        in the window that ends at `end`: `end` for a pull device; for a
-        blend device in push, also before push ends, so that no request can
-        switch the mode and no tick can end push; for any other, none."""
-        if self.mode is Mode.PULL:
-            return end
-        if self.mode is Mode.BLEND and self.push_until is not None:
-            return min(end, math.nextafter(self.push_until, -math.inf))
-        return -math.inf
-
     def pool_batch(self, requests: list[tuple[float, bytes]]) -> None:
         """Take (arrival, payload) frames in arrival order, each landing in
         the open window by `pools_until`: the state `on_frame` leaves for
@@ -318,7 +314,12 @@ class Device:
     def _occupy(self, transmit: Transmit, now: float) -> SetTimer:
         """Hold the radio for `t_res` after the work before it; `transmit` goes out when it ends."""
         self._pending_tx = transmit
-        return SetTimer(TimerKind.GEN_COMPLETE, self.counters.occupy(now, self.t_res))
+        end = self.counters.occupy(now, self.t_res)
+        if self.mode is Mode.PULL:
+            self.pools_until = end
+        elif self.mode is Mode.BLEND and self.push_until is not None:
+            self.pools_until = min(end, math.nextafter(self.push_until, -math.inf))
+        return SetTimer(TimerKind.GEN_COMPLETE, end)
 
     def _enter_gen(self, now: float) -> list[Action]:
         self.gen_deadline = None
@@ -331,6 +332,7 @@ class Device:
         assert self._pending_tx is not None
         actions: list[Action] = [self._pending_tx]
         self._pending_tx = None
+        self.pools_until = -math.inf
 
         # Drain one pool-sized block of the overflow list into the pool.
         space = self.provisioning.pool_max - len(self.pool)

@@ -1,8 +1,11 @@
 """The range of every numeric setting, in one table.
 
 `check` applies one rule everywhere: a bool is not a number (Python counts
-it as an int), and NaN or a value of another type fails every range. Rules
-between settings stay with the constructor that owns them.
+it as an int), and NaN or a value of another type fails every range. A
+setting read as a float must be one: its test converts it (`math.isfinite`,
+`math.isnan`), so an integer past float range fails too. Only `seed`,
+`count`, `pool_tmp_cap`, `pool_max` and `announce_wire_size` stay exact
+integers. Rules between settings stay with the constructor that owns them.
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ import math
 
 from . import wire
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "must be positive and finite")
-_NONNEGATIVE_FINITE = (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
+_POSITIVE = (lambda v: not math.isnan(v) and v > 0, "must be positive")
+_POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
+_NONNEGATIVE_FINITE = (lambda v: math.isfinite(v) and v >= 0, "must be >= 0 and finite")
 _NONE_OR_COUNT = (lambda v: v is None or (type(v) is int and v >= 0),
                   "must be null or an integer >= 0")
-_NOT_NAN = (lambda v: -math.inf <= v <= math.inf, "must be a number, not NaN")
+_NOT_NAN = (lambda v: not math.isnan(v), "must be a number, not NaN")
 
 # Setting name, as constructors and scenario files spell it -> (test, rule). A list
 # setting (`replay_at`, `round_times`) is checked one item at a time.
@@ -57,7 +60,8 @@ RANGES = {
     "offpeak_per_hour": _NONNEGATIVE_FINITE,
     "t_req": _POSITIVE_FINITE,
     "push_interval": _POSITIVE_FINITE,
-    "announcement_size": (lambda v: type(v) is int and v > 0, "must be a positive integer"),
+    "announcement_size": (lambda v: type(v) is int and math.isfinite(v) and v > 0,
+                          "must be a positive integer"),
 }
 
 
@@ -69,5 +73,7 @@ def check(error: type[Exception] = ValueError, **values) -> None:
             ok = type(value) is not bool and within(value)
         except TypeError:  # not a number
             ok = False
+        except OverflowError:  # an integer that a float cannot hold
+            ok, rule = False, "must be within float range"
         if not ok:
             raise error(f"{name} {rule}, got {value!r}")

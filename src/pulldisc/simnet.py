@@ -174,7 +174,8 @@ class World:
         self._carried: list = []  # (counters, unclipped busy_seconds) busy past the last horizon
 
     # The reference path, for tests only: queue every unheard frame as an
-    # event that counts it on arrival, and deliver every handled copy.
+    # event that counts it on arrival, deliver every handled copy and batch
+    # none. Read when a fan-out is listed, so set it before the first frame.
     _queue_unheard = False
 
     # -- topology ------------------------------------------------------------
@@ -218,10 +219,12 @@ class World:
         payload's kind, or has handled the payload by the copy's arrival,
         gets no delivery: the frame is counted in its rx now if it arrives
         within the running horizon, and otherwise by a queued `_count_rx`.
-        A copy that lands within the horizon and by a receiver's
-        `batch_until` is appended to its `batch` and counted in rx now.
+        A copy that lands within the horizon and by the `pools_until` of a
+        receiver's device is appended to its `batch` and counted in rx now.
         The receivers of a domain and frame kind are listed once, at the
-        first such frame after a node joins."""
+        first such frame after a node joins. A bytes-like payload is sent,
+        and seen by every receiver, as bytes."""
+        payload = bytes(payload)
         if len(payload) > wire.MAX_PAYLOAD:
             raise wire.CapacityError(
                 f"payload of {len(payload)} bytes exceeds the {wire.MAX_PAYLOAD}-byte budget"
@@ -239,12 +242,13 @@ class World:
         p_loss, lo, span = link.p_loss, link.latency_min, link.latency_max - link.latency_min
         random, push, queue, seq = self.rng.random, heapq.heappush, self._queue, self._seq
         horizon, queue_unheard = self._horizon, self._queue_unheard
-        key = (sender_node.domain, bytes(payload[:6]))
+        key = (sender_node.domain, payload[:6])
         fanout = self._fanout.get(key)
         if fanout is None:
             fanout = self._fanout[key] = [
-                (node, node.hears is None or key[1] in node.hears, node.handled, node.counters,
-                 node.batch)
+                (node, node.hears is None or key[1] in node.hears,
+                 None if queue_unheard else node.handled, node.counters,
+                 None if queue_unheard else node.batch)
                 for node in self.nodes.values() if node.domain == key[0]
             ]
         dropped = 0
@@ -256,8 +260,8 @@ class World:
                 continue
             # The same draw, and the same float, as rng.uniform(lo, hi).
             at = now + (lo + span * random())
-            if hears and (handled is None or queue_unheard or handled.get(payload, -1.0) < at):
-                if batch is None or at > node.batch_until or at > horizon:
+            if hears and (handled is None or handled.get(payload, -1.0) < at):
+                if batch is None or at > node.device.pools_until or at > horizon:
                     push(queue, (at, _PRIO_DELIVER, next(seq), node, frame))
                     continue
                 batch.append((at, payload))
@@ -336,18 +340,17 @@ _arrival = itemgetter(0)
 class DeviceNode(Node):
     """Adapts a pull/push/blend device to the event loop.
 
-    While the device is in a generation window, a request copy that lands
-    by the device's `pools_until` is not queued: `World.broadcast` appends
-    it to `batch`. The device takes the batch in arrival order in one call
-    when the window ends, before a queued delivery to it takes the copies
-    that land earlier, and when a run returns takes the rest."""
+    The device provides `boot`, `on_frame`, `on_timer`, `pool_batch`,
+    `pools_until` and `counters`. A request copy that lands by the device's
+    `pools_until` is not queued: `World.broadcast` appends it to `batch`.
+    The device takes the batch in arrival order in one call when the
+    window ends, before a queued delivery to it takes the copies that land
+    earlier, and when a run returns takes the rest."""
 
     def __init__(self, name: str, device: device_mod.Device, domain: str = "default"):
         super().__init__(name, domain, device)
         self.device = device
-        # A stand-in device states no `pools_until`: every copy is queued to it.
-        self.batch = [] if isinstance(device, device_mod.Device) else None
-        self.batch_until = -math.inf
+        self.batch = []
 
     def start(self, now: float) -> None:
         self._apply(self.device.boot(now), now)
@@ -369,10 +372,8 @@ class DeviceNode(Node):
             self._apply(actions, now)
 
     def _timer(self, kind: device_mod.TimerKind, now: float) -> None:
-        if kind is device_mod.TimerKind.GEN_COMPLETE:
-            if self.batch:
-                self.take_batch()
-            self.batch_until = -math.inf
+        if kind is device_mod.TimerKind.GEN_COMPLETE and self.batch:
+            self.take_batch()
         self._apply(self.device.on_timer(kind, now), now)
 
     def _apply(self, actions, now: float) -> None:
@@ -385,9 +386,6 @@ class DeviceNode(Node):
                         self.name, action.payload, now, wire_size=action.wire_size
                     )
             elif isinstance(action, device_mod.SetTimer):
-                if (action.kind is device_mod.TimerKind.GEN_COMPLETE and self.batch is not None
-                        and not self.world._queue_unheard):
-                    self.batch_until = self.device.pools_until(action.at)
                 timer = partial(self._timer, action.kind)
                 self.world.schedule_action(action.at, timer, _PRIO_TIMER_BASE + action.kind.value)
 

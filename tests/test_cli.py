@@ -356,6 +356,17 @@ def test_wire_decode_bad_hex(capsys):
                      "does not read --push-interval", id="table1-push-interval"),
         pytest.param(["im", "solicit", "--mode", "naive", "--p", "7", "--seed", "1"],
                      "does not read --p", id="im-naive-p"),
+        pytest.param(["analytic", "bandwidth", "--push-interval", "1",
+                      "--announcement-size", "1" + "0" * 400],
+                     "announcement_size must be within float range", id="bandwidth-size-past-float"),
+        pytest.param(["provision", "--out", "a-file/out", "--seed", "1"],
+                     "cannot write a-file/out: Not a directory", id="provision-out-under-a-file"),
+        pytest.param(["scenario", "run", "--config", str(SCENARIOS / "hotel.json"),
+                      "--out", "a-file/out"],
+                     "cannot write a-file/out: Not a directory", id="scenario-out-under-a-file"),
+        pytest.param(["scenario", "run", "--config", str(SCENARIOS / "hotel.json"),
+                      "--out", "a-file/out", "--sweep", "1,2"],
+                     "cannot write a-file/out/seed-", id="sweep-out-under-a-file"),
     ],
 )
 def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
@@ -363,6 +374,7 @@ def test_bad_argument_prints_one_error_line(capsys, tmp_path, monkeypatch, argv,
     (tmp_path / "not-utf8.json").write_bytes(b"\xff{}")
     countless = dict(SMALL_SCENARIO, users=[{"name": "u", "arrival": {"kind": "burst"}}])
     (tmp_path / "burst.json").write_text(json.dumps(countless))
+    (tmp_path / "a-file").write_text("")  # no directory can be made under it
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -262,7 +262,7 @@ def _in_window(record, mode, cap):
 def test_a_batch_leaves_the_state_of_its_frames_one_at_a_time(record, mode, cap):
     one, opened, end = _in_window(record, mode, cap)
     batched, _, _ = _in_window(record, mode, cap)
-    until = one.pools_until(end)
+    until = one.pools_until
     assert until == (end if mode is Mode.PULL else math.nextafter(1.05, 0.0))
     rng = Random(21)
     times = sorted([opened, until] + [rng.uniform(opened, until) for _ in range(30)] * 2)
@@ -278,6 +278,30 @@ def test_a_batch_leaves_the_state_of_its_frames_one_at_a_time(record, mode, cap)
 
     assert state(batched) == state(one)
     assert len(one.pool_tmp) == (len(times) if cap is None else cap)
+
+
+def test_a_device_states_its_pooling_bound_only_while_a_window_pools(record):
+    """`pools_until` is -inf but in a pull window or a blend window in push,
+    and the window's close clears it."""
+    rng = Random(22)
+    calm = BlendPolicy(switch_threshold=200, window=1.0, push_period=1.0, announce_interval=1.0)
+    fresh = [make_device(record), make_device(record, mode=Mode.PUSH),
+             make_device(record, mode=Mode.BLEND, blend=calm)]
+    for dev in fresh:
+        dev.boot(0.0)
+        assert dev.pools_until == -math.inf
+    _, push, blend = fresh
+    push.on_timer(TimerKind.ANNOUNCE, 1.0)
+    for _ in range(129):
+        blend.on_frame(request(rng), 1.0)
+    pull, _, pull_end = _in_window(record, Mode.PULL, None)
+    blend_in_push, _, _ = _in_window(record, Mode.BLEND, None)
+    windows = [(pull, pull_end), (blend_in_push, math.nextafter(1.05, 0.0)),
+               (push, -math.inf), (blend, -math.inf)]
+    for dev, bound in windows:
+        assert dev.in_gen and dev.pools_until == bound
+        dev.on_timer(TimerKind.GEN_COMPLETE, dev.counters.busy_until)
+        assert not dev.in_gen and dev.pools_until == -math.inf
 
 
 @given(

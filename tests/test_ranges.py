@@ -134,3 +134,34 @@ _ANALYTIC_ARGS = [
 def test_analytic_refusal_names_the_setting(key, bad, call, value):
     with pytest.raises(ValueError, match=rf"\b{key}\b"):
         call(bad if value == "out-of-range" else value)
+
+
+# An integer no float can hold; JSON and int() read it exactly.
+_HUGE = 10**400
+_EXACT_INTEGERS = {"seed", "count", "pool_tmp_cap"}  # unbounded, and never read as a float
+
+
+@pytest.mark.parametrize("key, doc", [case[1::2] for case in _CONFIG_KEYS
+                                      if case[1] not in _EXACT_INTEGERS],
+                         ids=[f"{section}.{key}" for section, key, _, _ in _CONFIG_KEYS
+                              if key not in _EXACT_INTEGERS])
+def test_an_integer_past_float_range_fails_a_config_key(key, doc):
+    with pytest.raises(scenario.ConfigError, match=rf"\b{key}\b"):
+        scenario.ScenarioConfig.from_dict({"seed": 1, "horizon": 10.0, **doc(_HUGE)})
+
+
+@pytest.mark.parametrize("key, call", [(key, call) for _, key, _, call in _ANALYTIC_ARGS]
+                         + [(key, build) for _, key, build in _CONSTRUCTOR_ARGS
+                            if key not in _EXACT_INTEGERS],
+                         ids=[f"{callee}.{key}" for callee, key, _, _ in _ANALYTIC_ARGS]
+                         + [f"{cls}.{key}" for cls, key, _ in _CONSTRUCTOR_ARGS
+                            if key not in _EXACT_INTEGERS])
+def test_an_integer_past_float_range_fails_a_direct_call(key, call):
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        call(_HUGE)
+
+
+def test_exact_integers_take_any_size():
+    ranges.check(**{key: _HUGE for key in _EXACT_INTEGERS})
+    with pytest.raises(ValueError, match="horizon must be within float range"):
+        ranges.check(horizon=_HUGE)

@@ -89,6 +89,21 @@ def test_payload_over_budget_rejected():
         world.broadcast("a", bytes(1651), 0.0)
 
 
+def test_a_bytes_like_payload_reaches_every_receiver_as_bytes():
+    world = simnet.World(seed=1, capture_frames=True)
+    world.add_node(Sink("tx"))
+    sink = world.add_node(Sink("rx"))
+    user = agent.UserAgent((), registration.ManifestStore(), Random(2))
+    node = world.add_node(simnet.AgentNode("user", user, simnet.ArrivalModel("burst", count=1)))
+    payload = b"DP-RES" + bytes(120)
+    world.broadcast("tx", bytearray(payload), 0.0)
+    world.run_until(1.0)
+    ((_, frame),) = [(t, f) for t, f in sink.received if f.payload.startswith(wire.ID_RESPONSE)]
+    assert type(frame.payload) is bytes and frame.payload == payload
+    assert [(sender, type(f.payload)) for _, sender, f in world.captured][0] == ("tx", bytes)
+    assert node.discards == {"malformed": 1}
+
+
 def test_retransmit_schedule_and_byte_accounting():
     world = simnet.World(seed=5)
     world.add_node(Sink("dev"))
@@ -106,6 +121,8 @@ def test_retransmit_schedule_and_byte_accounting():
 class _TimerLog:
     """Device stand-in that logs what it handles; boots one timer of each
     kind at t = 1.0, in reverse priority order."""
+
+    pools_until = -math.inf  # opens no window: every copy is queued to it
 
     def __init__(self, log):
         self.log = log
@@ -1523,6 +1540,31 @@ def test_push_that_ends_inside_a_window_batches_only_earlier_requests(record):
     assert fast[:3] == reference[:3]
     assert fast[3] == [1.45] and reference[3] == []
     assert fast[0][3] == 2.0  # push again from 1.5
+
+
+def test_a_request_that_lands_as_a_window_closes_opens_the_next_one():
+    """With no latency and one nonce per response, `a`'s request at 0.0
+    opens a window that closes at 0.233, the instant `b`'s request lands:
+    it must start the second response, not pool as if the window were open."""
+    config = scenario.ScenarioConfig.from_dict({
+        "seed": 3,
+        "horizon": 2.0,
+        "link": {"latency_min": 0.0, "latency_max": 0.0},
+        "devices": [{"name": "d", "pool_max": 1}],
+        "users": [{"name": name, "arrival": {"kind": "burst", "count": 1, "start": start}}
+                  for name, start in (("a", 0.0), ("b", device_mod.T_RES))],
+    })
+
+    def run():
+        built = scenario.build_world(config)
+        metrics = built.world.run_until(config.horizon)
+        (node,) = built.device_nodes
+        return (metrics.to_json(), node.device.counters.responses, list(node.device.pool_tmp),
+                [len(user.reports) for user in built.agent_nodes])
+
+    fast, reference = _both_ways(run)
+    assert fast == reference
+    assert fast[1:] == (2, [], [1, 1])
 
 
 def test_shared_decode_equals_a_fresh_decode_of_every_delivered_payload(monkeypatch):
